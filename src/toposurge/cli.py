@@ -12,7 +12,7 @@ import sys
 
 from . import manifolds, morse, solid
 from .dynamics import SystemParams, equilibria, region, slow_manifold
-from .integrate import DEFAULT_ATOL, DEFAULT_RTOL, IntegrationError, integrate
+from .integrate import IntegrationError, integrate
 from .manifolds import InvalidManifold, invariants
 from .orbits import (
     LimitCycleNotFound,
@@ -327,8 +327,9 @@ def _add_param_args(sp, with_ic=False):
     if with_ic:
         sp.add_argument("--ic", required=True, help="initial state X,Y,Z")
         sp.add_argument("--t-end", dest="t_end", type=float, default=200.0)
-        sp.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
-        sp.add_argument("--atol", type=float, default=DEFAULT_ATOL)
+        # None defers to TOPOSURGE_RTOL / TOPOSURGE_ATOL, read by integrate
+        sp.add_argument("--rtol", type=float)
+        sp.add_argument("--atol", type=float)
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -141,7 +141,7 @@ def _polish_real(x: float, p2: float, p1: float, p0: float) -> float:
     return x
 
 
-def _cross_c(u, v):
+def _cross(u, v):
     return (
         u[1] * v[2] - u[2] * v[1],
         u[2] * v[0] - u[0] * v[2],
@@ -159,7 +159,7 @@ def _null_vector(m: Mat3, lam: complex) -> tuple[complex, complex, complex]:
     best = None
     best_norm = -1.0
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        w = _cross_c(rows[i], rows[j])
+        w = _cross(rows[i], rows[j])
         n = math.sqrt(sum(abs(x) ** 2 for x in w))
         if n > best_norm:
             best_norm = n
@@ -303,19 +303,11 @@ class SlowManifold:
         """Orthonormal (u, e1, e2) with u along the axis."""
         u = self.axis_direction
         a = (1.0, 0.0, 0.0) if abs(u[0]) < 0.9 else (0.0, 1.0, 0.0)
-        e1 = _cross_r(u, a)
+        e1 = _cross(u, a)
         n1 = math.sqrt(sum(x * x for x in e1))
         e1 = tuple(x / n1 for x in e1)
-        e2 = _cross_r(u, e1)
+        e2 = _cross(u, e1)
         return u, e1, e2
-
-
-def _cross_r(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
 
 
 def slow_manifold(p: SystemParams, eps: float = EPS_REGION) -> SlowManifold:

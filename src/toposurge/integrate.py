@@ -1,11 +1,29 @@
 """Adaptive Dormand-Prince 5(4) integration for the three-species system.
 
-Plain-float inner loop (the state is only 3-dimensional, so numpy overhead
-would dominate), FSAL stage reuse, PI step-size control, and cubic Hermite
-dense output between accepted steps.  Resolution genuinely matters for this
-system - coarse tolerances visibly deform the attractor - so the defaults
-are strict (rtol 1e-9, atol 1e-12) and can be tightened further via
-arguments or the TOPOSURGE_RTOL / TOPOSURGE_ATOL environment variables.
+The method is the embedded 5(4) pair of Dormand & Prince (J. Comp. Appl.
+Math. 6:19, 1980) with FSAL stage reuse, the PI step-size control of
+Hairer, Norsett & Wanner (Solving Ordinary Differential Equations I,
+sections II.4-II.5), and cubic Hermite dense output between accepted steps.
+
+The state is only 3-dimensional, so numpy overhead would dominate.  One
+step is straight-line code on local floats instead: the tableau, A, B, C
+and the math functions are bound to locals once per call, the vector field
+is inlined for the six new stages, and the error norm is written out per
+component.  Floating-point arithmetic is not associative, and a change in
+the last bit of one stage can change the whole step sequence.  So the step
+keeps the operation order of a generic loop over the tableau rows that
+calls `dynamics.rhs` per stage: the inlined field is written exactly as in
+`rhs` (no shared X * X), every stage sum runs left to right, and the error
+norm squares with ** 2, which is pow() and differs from e * e in the last
+bit for some e.  Terms whose weight is 0.0 are left out: they only add a
+signed zero, unless the stage they weight is not finite, a case the
+finiteness check catches.
+
+Resolution genuinely matters for this system - coarse tolerances visibly
+deform the attractor - so the defaults are strict (rtol 1e-9, atol 1e-12).
+They can be changed per call or through the TOPOSURGE_RTOL /
+TOPOSURGE_ATOL environment variables, which are read when an integration
+starts, never at import.
 """
 
 from __future__ import annotations
@@ -23,11 +41,10 @@ class IntegrationError(RuntimeError):
         self.t = t
 
 
-DEFAULT_RTOL = float(os.environ.get("TOPOSURGE_RTOL", "1e-9"))
-DEFAULT_ATOL = float(os.environ.get("TOPOSURGE_ATOL", "1e-12"))
+_TOL_MIN, _TOL_MAX = 1e-13, 1e-3
 
-# Dormand-Prince 5(4) tableau
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Dormand-Prince 5(4) tableau.  The last row of _A is also the 5th-order
+# solution's weights (FSAL: the last stage is f at the new state).
 _A = (
     (),
     (1 / 5,),
@@ -37,8 +54,20 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _env_tolerance(name: str, default: float) -> float:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{name}={text!r} is not a number") from None
+    if not _TOL_MIN <= value <= _TOL_MAX:
+        raise ValueError(f"{name}={text!r} must lie in [1e-13, 1e-3]")
+    return value
 
 
 @dataclass(frozen=True)
@@ -95,30 +124,53 @@ def integrate(
     p: SystemParams,
     ic: Vec3,
     t_end: float,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
+    rtol: float | None = None,
+    atol: float | None = None,
     max_steps: int = 5_000_000,
 ) -> Trajectory:
-    """Integrate from t = 0 to t_end, recording every accepted step."""
+    """Integrate from t = 0 to t_end, recording every accepted step.
+
+    rtol and atol default to TOPOSURGE_RTOL / TOPOSURGE_ATOL if set, else
+    1e-9 / 1e-12; a malformed variable raises ValueError naming it.
+    """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
-    if not (1e-13 <= rtol <= 1e-3) or not (1e-13 <= atol <= 1e-3):
+    if rtol is None:
+        rtol = _env_tolerance("TOPOSURGE_RTOL", 1e-9)
+    if atol is None:
+        atol = _env_tolerance("TOPOSURGE_ATOL", 1e-12)
+    if not (_TOL_MIN <= rtol <= _TOL_MAX) or not (_TOL_MIN <= atol <= _TOL_MAX):
         raise ValueError("tolerances must lie in [1e-13, 1e-3]")
 
-    y = tuple(float(v) for v in ic)
+    A, B, C = p.A, p.B, p.C
+    isfinite, sqrt = math.isfinite, math.sqrt
+    (
+        _,
+        (a10,),
+        (a20, a21),
+        (a30, a31, a32),
+        (a40, a41, a42, a43),
+        (a50, a51, a52, a53, a54),
+        (b0, _, b2, b3, b4, b5),
+    ) = _A
+    e0, _, e2, e3, e4, e5, e6 = _E
+
+    y0 = tuple(float(v) for v in ic)
     t = 0.0
-    f = rhs(y, p)
+    f = rhs(y0, p)
     n_rhs = 1
-    h = _initial_step(f, y, p, t_end, rtol, atol)
+    h = _initial_step(f, y0, p, t_end, rtol, atol)
     n_rhs += 1
 
     ts = [t]
-    states = [y]
+    states = [y0]
     derivs = [f]
+    ts_append, states_append, derivs_append = ts.append, states.append, derivs.append
     n_acc = 0
     n_rej = 0
     err_prev = 1e-4
-    k = [f] + [None] * 6
+    X, Y, Z = y0
+    k0x, k0y, k0z = f
 
     while t < t_end:
         if h < 1e-14 * max(1.0, abs(t)):
@@ -128,36 +180,72 @@ def integrate(
         if t + h > t_end:
             h = t_end - t
 
-        for i in range(1, 7):
-            ai = _A[i]
-            yi = tuple(
-                y[j] + h * sum(ai[m] * k[m][j] for m in range(i))
-                for j in range(3)
-            )
-            k[i] = rhs(yi, p)
+        x = X + h * (a10 * k0x)
+        y = Y + h * (a10 * k0y)
+        z = Z + h * (a10 * k0z)
+        k1x = x - x * y + C * x * x - A * z * x * x
+        k1y = -y + x * y
+        k1z = -B * z + A * z * x * x
+
+        x = X + h * (a20 * k0x + a21 * k1x)
+        y = Y + h * (a20 * k0y + a21 * k1y)
+        z = Z + h * (a20 * k0z + a21 * k1z)
+        k2x = x - x * y + C * x * x - A * z * x * x
+        k2y = -y + x * y
+        k2z = -B * z + A * z * x * x
+
+        x = X + h * (a30 * k0x + a31 * k1x + a32 * k2x)
+        y = Y + h * (a30 * k0y + a31 * k1y + a32 * k2y)
+        z = Z + h * (a30 * k0z + a31 * k1z + a32 * k2z)
+        k3x = x - x * y + C * x * x - A * z * x * x
+        k3y = -y + x * y
+        k3z = -B * z + A * z * x * x
+
+        x = X + h * (a40 * k0x + a41 * k1x + a42 * k2x + a43 * k3x)
+        y = Y + h * (a40 * k0y + a41 * k1y + a42 * k2y + a43 * k3y)
+        z = Z + h * (a40 * k0z + a41 * k1z + a42 * k2z + a43 * k3z)
+        k4x = x - x * y + C * x * x - A * z * x * x
+        k4y = -y + x * y
+        k4z = -B * z + A * z * x * x
+
+        x = X + h * (a50 * k0x + a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x)
+        y = Y + h * (a50 * k0y + a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y)
+        z = Z + h * (a50 * k0z + a51 * k1z + a52 * k2z + a53 * k3z + a54 * k4z)
+        k5x = x - x * y + C * x * x - A * z * x * x
+        k5y = -y + x * y
+        k5z = -B * z + A * z * x * x
+
+        # the 5th-order solution, and the FSAL stage at it
+        x = X + h * (b0 * k0x + b2 * k2x + b3 * k3x + b4 * k4x + b5 * k5x)
+        y = Y + h * (b0 * k0y + b2 * k2y + b3 * k3y + b4 * k4y + b5 * k5y)
+        z = Z + h * (b0 * k0z + b2 * k2z + b3 * k3z + b4 * k4z + b5 * k5z)
+        k6x = x - x * y + C * x * x - A * z * x * x
+        k6y = -y + x * y
+        k6z = -B * z + A * z * x * x
         n_rhs += 6
 
-        y_new = tuple(
-            y[j] + h * sum(_B5[m] * k[m][j] for m in range(7)) for j in range(3)
-        )
-        if not all(math.isfinite(v) for v in y_new):
+        # A non-finite k1 already made the new state non-finite.  A
+        # non-finite k6 would enter the 5th-order solution through its zero
+        # weight as NaN, so it counts as a non-finite state too.
+        if not (isfinite(x) and isfinite(y) and isfinite(z)
+                and isfinite(k6x) and isfinite(k6y) and isfinite(k6z)):
             raise IntegrationError("non-finite state", t)
 
-        err = 0.0
-        for j in range(3):
-            e = h * sum(_E[m] * k[m][j] for m in range(7))
-            sc = atol + rtol * max(abs(y[j]), abs(y_new[j]))
-            err += (e / sc) ** 2
-        err = math.sqrt(err / 3.0)
+        ex = h * (e0 * k0x + e2 * k2x + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x)
+        ey = h * (e0 * k0y + e2 * k2y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y)
+        ez = h * (e0 * k0z + e2 * k2z + e3 * k3z + e4 * k4z + e5 * k5z + e6 * k6z)
+        sx = atol + rtol * max(abs(X), abs(x))
+        sy = atol + rtol * max(abs(Y), abs(y))
+        sz = atol + rtol * max(abs(Z), abs(z))
+        err = sqrt(((ex / sx) ** 2 + (ey / sy) ** 2 + (ez / sz) ** 2) / 3.0)
 
         if err <= 1.0:
             t += h
-            y = y_new
-            f = k[6]  # FSAL: last stage is f(t + h, y_new)
-            k[0] = f
-            ts.append(t)
-            states.append(y)
-            derivs.append(f)
+            X, Y, Z = x, y, z
+            k0x, k0y, k0z = k6x, k6y, k6z
+            ts_append(t)
+            states_append((X, Y, Z))
+            derivs_append((k0x, k0y, k0z))
             n_acc += 1
             fac = 5.0 if err == 0.0 else min(
                 5.0, max(0.2, 0.9 * err ** -0.17 * err_prev ** 0.04)

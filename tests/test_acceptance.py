@@ -235,7 +235,7 @@ def test_criterion_8_chi_accounting(announce):
 
 def test_criterion_9_positive_octant(announce):
     rng = random.Random(20260809)
-    worst = 0.0
+    worst = math.inf
     for params in (PARAMS_A, PARAMS_B):
         for _ in range(20):
             ic = tuple(rng.uniform(0.1, 2.0) for _ in range(3))

@@ -99,6 +99,19 @@ def test_bad_ic_is_usage_error(capsys):
     assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize("name, value", [("TOPOSURGE_RTOL", "abc"), ("TOPOSURGE_ATOL", "1")])
+def test_bad_tolerance_variable_fails_only_integration(monkeypatch, capsys, name, value):
+    monkeypatch.setenv(name, value)
+    code, _, _ = run(["equilibria", "--A", "3", "--B", "3", "--C", "3"], capsys)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc_info:
+        main(["simulate", "--A", "3", "--B", "3", "--C", "3", "--ic", "1,1.3,0.89",
+              "--t-end", "1"])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert name in err and err.count("\n") == 1
+
+
 def test_plot_rejects_empty_csv(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

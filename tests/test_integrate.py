@@ -102,6 +102,24 @@ def test_resample_uniform():
     assert len(steps) == 1
 
 
+# Orbits that pin the straight-line step, with their exact step counts
+# (accepted, rejected, rhs evaluations); the last two reject steps.
+PINNED_ORBITS = (
+    (SystemParams(2.9851, 3, 3), (1.0, 1.0, 0.9), 500.0, (22515, 0, 135092)),
+    (SystemParams(2.9851, 3, 3), (0.3, 1.7, 0.5), 200.0, (1812, 4, 10898)),
+    (SystemParams(3, 3, 3), (0.1, 0.1, 0.1), 200.0, (1465, 2, 8804)),
+)
+
+
+@pytest.mark.parametrize("p, ic, t_end, counts", PINNED_ORBITS)
+def test_step_kernel_is_pinned(p, ic, t_end, counts):
+    traj = integrate(p, ic, t_end)
+    # the inlined vector field is dynamics.rhs to the last bit
+    assert all(d == rhs(s, p) for s, d in zip(traj.states, traj.derivs))
+    stats = traj.stats
+    assert (stats.n_accepted, stats.n_rejected, stats.n_rhs) == counts
+
+
 def test_precondition_errors():
     p = SystemParams(3, 3, 3)
     with pytest.raises(ValueError):
