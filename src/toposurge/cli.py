@@ -125,6 +125,8 @@ def cmd_equilibria(args) -> int:
 def cmd_simulate(args) -> int:
     p = _params(args)
     ic = _triple(args.ic, "--ic")
+    if args.resample == 1 or args.resample < 0:
+        raise _usage_error("--resample must be 0 (raw steps) or at least 2")
     try:
         traj = integrate(p, ic, args.t_end, rtol=args.rtol, atol=args.atol)
     except ValueError as exc:
@@ -181,10 +183,14 @@ def cmd_limit_cycle(args) -> int:
             "an isolated cycle is not expected",
             file=sys.stderr,
         )
+    # unset tolerances keep the search's own defaults, not the integrator's
+    tols = {k: v for k, v in (("rtol", args.rtol), ("atol", args.atol)) if v is not None}
     try:
         lc = detect_limit_cycle(
-            p, ic, eps_cycle=args.eps_cycle, explore_time=args.explore_time
+            p, ic, eps_cycle=args.eps_cycle, explore_time=args.explore_time, **tols
         )
+    except ValueError as exc:
+        raise _usage_error(str(exc))
     except (LimitCycleNotFound, IntegrationError) as exc:
         history = getattr(exc, "history", ())
         _emit(dumps(cycle_failure_to_dict(str(exc), history)), args.out)
@@ -320,13 +326,14 @@ def cmd_plot(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_param_args(sp, with_ic=False):
+def _add_param_args(sp, with_ic=False, with_t_end=True):
     sp.add_argument("--A", type=float, required=True)
     sp.add_argument("--B", type=float, required=True)
     sp.add_argument("--C", type=float, required=True)
     if with_ic:
         sp.add_argument("--ic", required=True, help="initial state X,Y,Z")
-        sp.add_argument("--t-end", dest="t_end", type=float, default=200.0)
+        if with_t_end:
+            sp.add_argument("--t-end", dest="t_end", type=float, default=200.0)
         # None defers to TOPOSURGE_RTOL / TOPOSURGE_ATOL, read by integrate
         sp.add_argument("--rtol", type=float)
         sp.add_argument("--atol", type=float)
@@ -365,7 +372,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_poincare)
 
     sp = sub.add_parser("limit-cycle", help="locate the periodic orbit (region b)")
-    _add_param_args(sp, with_ic=True)
+    _add_param_args(sp, with_ic=True, with_t_end=False)
     sp.add_argument("--eps-cycle", dest="eps_cycle", type=float, default=1e-9)
     sp.add_argument("--explore-time", dest="explore_time", type=float, default=300.0)
     sp.add_argument("--out")

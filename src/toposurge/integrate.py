@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 from .dynamics import SystemParams, Vec3, rhs
 
@@ -107,12 +108,16 @@ class Trajectory:
 def _initial_step(f0: Vec3, y0: Vec3, p: SystemParams, t_end: float,
                   rtol: float, atol: float) -> float:
     sc = [atol + rtol * abs(y) for y in y0]
-    d0 = math.sqrt(sum((y / s) ** 2 for y, s in zip(y0, sc)) / 3.0)
-    d1 = math.sqrt(sum((f / s) ** 2 for f, s in zip(f0, sc)) / 3.0)
-    h0 = 1e-6 if d1 < 1e-5 or d0 < 1e-5 else 0.01 * d0 / d1
-    y1 = tuple(y + h0 * f for y, f in zip(y0, f0))
-    f1 = rhs(y1, p)
-    d2 = math.sqrt(sum(((a - b) / s) ** 2 for a, b, s in zip(f1, f0, sc)) / 3.0) / h0
+    try:
+        d0 = math.sqrt(sum((y / s) ** 2 for y, s in zip(y0, sc)) / 3.0)
+        d1 = math.sqrt(sum((f / s) ** 2 for f, s in zip(f0, sc)) / 3.0)
+        h0 = 1e-6 if d1 < 1e-5 or d0 < 1e-5 else 0.01 * d0 / d1
+        y1 = tuple(y + h0 * f for y, f in zip(y0, f0))
+        f1 = rhs(y1, p)
+        d2 = math.sqrt(sum(((a - b) / s) ** 2 for a, b, s in zip(f1, f0, sc)) / 3.0) / h0
+    except (OverflowError, ZeroDivisionError):
+        # the derivative at the start is too large to scale a first step by
+        raise IntegrationError("derivative overflows at the initial state", 0.0) from None
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -127,11 +132,16 @@ def integrate(
     rtol: float | None = None,
     atol: float | None = None,
     max_steps: int = 5_000_000,
+    stop: Callable[[float, float, float, float], bool] | None = None,
 ) -> Trajectory:
     """Integrate from t = 0 to t_end, recording every accepted step.
 
     rtol and atol default to TOPOSURGE_RTOL / TOPOSURGE_ATOL if set, else
     1e-9 / 1e-12; a malformed variable raises ValueError naming it.
+
+    stop(t, X, Y, Z), if given, is called after every accepted step; once
+    it returns true the integration ends there, that step included.  The
+    steps before it are the ones an integration without stop takes.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
@@ -252,6 +262,8 @@ def integrate(
             )
             err_prev = max(err, 1e-10)
             h *= fac
+            if stop is not None and stop(t, X, Y, Z):
+                break
         else:
             n_rej += 1
             h *= max(0.1, 0.9 * err ** -0.2)

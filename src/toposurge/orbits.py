@@ -53,6 +53,25 @@ class SectionCrossing:
     direction: int  # +1: from negative to positive side, -1: reverse
 
 
+def _bisect_crossing(traj: Trajectory, i: int, point, normal, on_lo_side,
+                     rel_tol: float) -> float:
+    """Time at which the orbit crosses the plane {(y - point) . normal = 0}
+    between accepted steps i and i + 1: bisection on the cubic Hermite
+    interpolant.  on_lo_side(g) says whether a signed distance g lies on
+    step i's side of the plane; the bracket is refined until it is at most
+    rel_tol * max(1, |t|) wide."""
+    t_lo, t_hi = traj.t[i], traj.t[i + 1]
+    for _ in range(60):
+        t_mid = 0.5 * (t_lo + t_hi)
+        if on_lo_side((np.asarray(traj.state_at(t_mid)) - point) @ normal):
+            t_lo = t_mid
+        else:
+            t_hi = t_mid
+        if t_hi - t_lo <= rel_tol * max(1.0, abs(t_hi)):
+            break
+    return 0.5 * (t_lo + t_hi)
+
+
 def poincare(
     traj: Trajectory, plane_point: Vec3, plane_normal: Vec3
 ) -> list[SectionCrossing]:
@@ -72,20 +91,8 @@ def poincare(
     out: list[SectionCrossing] = []
     sign_change = np.nonzero(g[:-1] * g[1:] < 0.0)[0]
     for i in sign_change:
-        t_lo, t_hi = traj.t[i], traj.t[i + 1]
-        g_lo = g[i]
-        for _ in range(60):
-            t_mid = 0.5 * (t_lo + t_hi)
-            y_mid = traj.state_at(t_mid)
-            g_mid = (np.asarray(y_mid) - p0) @ n
-            if (g_mid > 0) == (g_lo > 0):
-                t_lo = t_mid
-                g_lo = g_mid
-            else:
-                t_hi = t_mid
-            if t_hi - t_lo <= 1e-14 * max(1.0, abs(t_hi)):
-                break
-        t_c = 0.5 * (t_lo + t_hi)
+        lo_positive = g[i] > 0
+        t_c = _bisect_crossing(traj, i, p0, n, lambda v: (v > 0) == lo_positive, 1e-14)
         out.append(
             SectionCrossing(
                 t=t_c,
@@ -356,33 +363,38 @@ class _ReturnMap:
         return np.array([d @ self.u, d @ self.w])
 
     def first_return(self, q, t_max: float = 40.0):
-        """Map (h, r) to its next same-side crossing; returns (q', T)."""
+        """Map (h, r) to its next same-side crossing; returns (q', T).
+
+        The integration stops at the first accepted step that crosses the
+        half plane from g < 0 to g >= 0 at t >= t_min; t_max only bounds
+        the search."""
         y0 = self.embed(q)
-        traj = integrate(self.p, y0, t_max, rtol=self.rtol, atol=self.atol)
-        ys = np.asarray(traj.states)
-        d = ys - self.origin
-        g = d @ self.n
-        side = d @ self.w
-        idx = np.nonzero((g[:-1] < 0.0) & (g[1:] >= 0.0) & (side[1:] > 0.0))[0]
-        for i in idx:
-            if traj.t[i + 1] < self.t_min:
-                continue  # the departure itself
-            t_lo, t_hi = traj.t[i], traj.t[i + 1]
-            for _ in range(60):
-                t_mid = 0.5 * (t_lo + t_hi)
-                y_mid = np.asarray(traj.state_at(t_mid))
-                if (y_mid - self.origin) @ self.n < 0.0:
-                    t_lo = t_mid
-                else:
-                    t_hi = t_mid
-                if t_hi - t_lo <= 1e-13 * max(1.0, t_hi):
-                    break
-            t_c = 0.5 * (t_lo + t_hi)
-            y_c = traj.state_at(t_c)
-            return self.project(y_c), t_c
-        raise LimitCycleNotFound(
-            f"no return to the section within t = {t_max}", ()
+        (o0, o1, o2), (n0, n1, n2), (w0, w1, w2) = (
+            self.origin.tolist(), self.n.tolist(), self.w.tolist()
         )
+
+        def g(X, Y, Z):
+            return (X - o0) * n0 + (Y - o1) * n1 + (Z - o2) * n2
+
+        g_prev = g(*y0)
+        returned = False
+
+        def crossed(t, X, Y, Z):
+            nonlocal g_prev, returned
+            g_lo, g_prev = g_prev, g(X, Y, Z)
+            returned = (g_lo < 0.0 <= g_prev and t >= self.t_min
+                        and (X - o0) * w0 + (Y - o1) * w1 + (Z - o2) * w2 > 0.0)
+            return returned
+
+        traj = integrate(self.p, y0, t_max, rtol=self.rtol, atol=self.atol,
+                         stop=crossed)
+        if not returned:
+            raise LimitCycleNotFound(
+                f"no return to the section within t = {t_max}", ()
+            )
+        t_c = _bisect_crossing(traj, len(traj) - 2, self.origin, self.n,
+                               lambda v: v < 0.0, 1e-13)
+        return self.project(traj.state_at(t_c)), t_c
 
 
 def detect_limit_cycle(
@@ -404,8 +416,13 @@ def detect_limit_cycle(
     point is refined with finite-difference Newton steps.  In the B/A = 1
     regime the map has a unit eigenvalue (a continuum of invariant shells),
     Newton stalls, and a LimitCycleNotFound carrying the residual history
-    is raised.
+    is raised.  A non-positive or non-finite explore_time or eps_cycle, or
+    a tolerance out of range, raises ValueError.
     """
+    if not (math.isfinite(explore_time) and explore_time > 0.0):
+        raise ValueError("explore_time must be positive and finite")
+    if not (math.isfinite(eps_cycle) and eps_cycle > 0.0):
+        raise ValueError("eps_cycle must be positive and finite")
     axis = slow_manifold(p)
 
     # seed: centroid of the meridional section trace of a short exploration

@@ -112,6 +112,26 @@ def test_bad_tolerance_variable_fails_only_integration(monkeypatch, capsys, name
     assert name in err and err.count("\n") == 1
 
 
+def test_overflowing_start_is_exit_1_with_one_line(capsys):
+    code, out, err = run(
+        ["simulate", "--A", "0.001", "--B", "3", "--C", "3", "--ic", "1e200,0,0",
+         "--t-end", "1"],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("integration failed:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", ["1", "-3"])
+def test_simulate_bad_resample_is_usage_error(capsys, n):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["simulate", "--A", "3", "--B", "3", "--C", "3", "--ic", "1,1,1",
+              "--t-end", "1", "--resample", n])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--resample" in err and err.count("\n") == 1
+
+
 def test_plot_rejects_empty_csv(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -289,3 +309,45 @@ def test_limit_cycle_failure_is_exit_1_with_report(capsys):
     assert doc["converged"] is False
     assert "residual_history" in doc
     assert "region_a" in err  # the precondition warning names the region
+
+
+LIMIT_CYCLE_B = ["limit-cycle", "--A", "2.9851", "--B", "3", "--C", "3", "--ic", "1,1,1"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--explore-time", "0"),
+    ("--explore-time", "nan"),
+    ("--eps-cycle", "-1"),
+    ("--eps-cycle", "nan"),
+    ("--rtol", "1"),
+])
+def test_limit_cycle_bad_value_is_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc_info:
+        main(LIMIT_CYCLE_B + [flag, value])
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
+def test_limit_cycle_passes_tolerances_through(monkeypatch, capsys):
+    import toposurge.cli as cli
+    from toposurge.orbits import LimitCycleNotFound
+
+    seen = []
+
+    def fake(p, ic, **kwargs):
+        seen.append((kwargs.get("rtol"), kwargs.get("atol")))
+        raise LimitCycleNotFound("stub", ())
+
+    monkeypatch.setattr(cli, "detect_limit_cycle", fake)
+    assert run(LIMIT_CYCLE_B, capsys)[0] == 1
+    assert run(LIMIT_CYCLE_B + ["--rtol", "1e-8", "--atol", "1e-11"], capsys)[0] == 1
+    # unset, the search keeps its own 1e-10 / 1e-12
+    assert seen == [(None, None), (1e-8, 1e-11)]
+
+
+def test_limit_cycle_offers_no_t_end(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(LIMIT_CYCLE_B + ["--t-end", "5"])
+    assert exc_info.value.code == 2
+    assert "--t-end" in capsys.readouterr().err

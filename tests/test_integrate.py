@@ -139,6 +139,29 @@ def test_blowup_is_reported_not_silent():
         integrate(p, (50.0, 0.0, 0.0), 10.0)
 
 
+@pytest.mark.parametrize("ic", [(1e80, 1.0, 1.0), (1e200, 0.0, 0.0)])
+def test_overflowing_start_is_an_integration_error(ic):
+    # the first derivative overflows the initial step-size estimate
+    with pytest.raises(IntegrationError, match="overflows"):
+        integrate(SystemParams(0.001, 3, 3), ic, 1.0)
+
+
+def test_stop_ends_the_run_at_the_first_true_step():
+    p = SystemParams(2.9851, 3, 3)
+    full = integrate(p, (1, 1, 0.9), 30.0)
+    seen = []
+
+    def past_ten(t, X, Y, Z):
+        seen.append((t, (X, Y, Z)))
+        return t >= 10.0
+
+    part = integrate(p, (1, 1, 0.9), 30.0, stop=past_ten)
+    n = len(part)
+    assert part.t[-2] < 10.0 <= part.t[-1]
+    assert part.t == full.t[:n] and part.states == full.states[:n]
+    assert seen == list(zip(part.t[1:], part.states[1:]))
+
+
 def test_determinism():
     p = SystemParams(2.9851, 3, 3)
     a = integrate(p, (1, 1, 0.9), 30.0)

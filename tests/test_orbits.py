@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from toposurge import orbits
 from toposurge.dynamics import slow_manifold
 from toposurge.integrate import integrate
 from toposurge.orbits import (
     LimitCycleNotFound,
+    _ReturnMap,
     classify_shell,
     detect_limit_cycle,
     poincare,
@@ -135,6 +137,55 @@ def test_limit_cycle_converges(cycle_b):
     assert cycle_b.period > 0
     assert cycle_b.residual < 1e-9
     assert cycle_b.history[-1] < 1e-9
+
+
+def test_limit_cycle_is_pinned(cycle_b):
+    # the (1, 1, 1) region-b search to the last bit: the return map, the
+    # crossing bisection and every Newton iterate
+    assert cycle_b.period == 1.4434457101736369
+    assert cycle_b.anchor == (1.0018837052426501, 1.0231321593471512, 1.1493606530172167)
+    assert cycle_b.history == (
+        0.0025114268928958725,
+        0.001577983185538239,
+        6.341272902994321e-05,
+        5.2909414400344776e-08,
+        1.86293471699515e-15,
+    )
+
+
+def test_first_return_stops_at_the_crossing_of_a_full_run(monkeypatch):
+    rm = _ReturnMap(PARAMS_B, slow_manifold(PARAMS_B), 1e-10, 1e-12, t_min=0.36)
+    q = np.array([3.15, 0.12])
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(orbits, "integrate", recorded)
+    pq, period = rm.first_return(q)
+    (traj,) = runs
+    assert traj.t[-2] < period <= traj.t[-1]
+
+    # the first same-side crossing after t_min of the whole 40-unit run
+    full = integrate(PARAMS_B, rm.embed(q), 40.0, rtol=1e-10, atol=1e-12)
+    assert full.t[:len(traj)] == traj.t
+    d = np.asarray(full.states) - rm.origin
+    g, side = d @ rm.n, d @ rm.w
+    i = next(i for i in range(len(full) - 1)
+             if g[i] < 0.0 <= g[i + 1] and side[i + 1] > 0.0 and full.t[i + 1] >= 0.36)
+    t_lo, t_hi = full.t[i], full.t[i + 1]
+    for _ in range(60):
+        t_mid = 0.5 * (t_lo + t_hi)
+        if (np.asarray(full.state_at(t_mid)) - rm.origin) @ rm.n < 0.0:
+            t_lo = t_mid
+        else:
+            t_hi = t_mid
+        if t_hi - t_lo <= 1e-13 * max(1.0, t_hi):
+            break
+    t_c = 0.5 * (t_lo + t_hi)
+    assert period == t_c
+    assert pq.tolist() == rm.project(full.state_at(t_c)).tolist()
 
 
 def test_limit_cycle_loop_maps_to_itself(cycle_b):
