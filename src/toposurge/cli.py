@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 computational failure (e.g. no limit cycle),
-2 usage or validation error.  All numeric output is deterministic.
+Exit codes: 0 success, 1 computational failure (a failed integration, or a
+limit-cycle search that does not converge), 2 usage or validation error;
+see main.  All numeric output is deterministic.
 """
 
 from __future__ import annotations
@@ -9,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import manifolds, morse, solid
 from .dynamics import SystemParams, equilibria, region, slow_manifold
-from .integrate import IntegrationError, integrate
-from .manifolds import InvalidManifold, invariants
+from .integrate import IntegrationError, Trajectory, integrate
+from .manifolds import invariants
 from .orbits import (
     LimitCycleNotFound,
     classify_shell,
@@ -21,7 +23,6 @@ from .orbits import (
     poincare,
 )
 from .serialize import (
-    CsvFormatError,
     atomic_write_text,
     classification_to_dict,
     complex_from_dict,
@@ -45,7 +46,6 @@ from .surgery import (
     CurveSite,
     DiscPairSite,
     GluingMap,
-    InvalidSite,
     surgery_1d_0,
     surgery_2d_0,
     surgery_2d_1,
@@ -63,48 +63,53 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _usage_error(msg: str) -> SystemExit:
-    print(f"error: {msg}", file=sys.stderr)
-    return SystemExit(USAGE_ERROR)
-
-
 def _params(args) -> SystemParams:
-    try:
-        return SystemParams(args.A, args.B, args.C)
-    except ValueError as exc:
-        raise _usage_error(str(exc))
+    return SystemParams(args.A, args.B, args.C)
 
 
 def _triple(text: str, name: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise _usage_error(f"{name} must be three comma-separated numbers")
+        raise ValueError(f"{name} must be three comma-separated numbers")
     try:
         return tuple(float(x) for x in parts)
     except ValueError:
-        raise _usage_error(f"{name}: could not parse {text!r}")
+        raise ValueError(f"{name}: could not parse {text!r}") from None
 
 
-def _int_list(text: str, name: str) -> tuple[int, ...]:
+def _int_list(text: str | None, name: str) -> tuple[int, ...]:
+    if not text:
+        raise ValueError(f"this surgery needs {name}")
     try:
         return tuple(int(x) for x in text.split(",") if x != "")
     except ValueError:
-        raise _usage_error(f"{name}: could not parse {text!r}")
+        raise ValueError(f"{name}: could not parse {text!r}") from None
+
+
+def _emit_complex(m, out: str | None) -> None:
+    doc = {"complex": complex_to_dict(m), "invariants": invariants_to_dict(invariants(m))}
+    _emit(dumps(doc), out)
+
+
+def _orbit(args) -> Trajectory:
+    """The orbit that --A/--B/--C, --ic, --t-end and --rtol/--atol name."""
+    return integrate(_params(args), _triple(args.ic, "--ic"), args.t_end,
+                     rtol=args.rtol, atol=args.atol)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each raises ValueError or OSError for bad input and
+# IntegrationError for a failed integration; main maps them to exit codes
 # ---------------------------------------------------------------------------
 
 def cmd_equilibria(args) -> int:
     p = _params(args)
     reports = equilibria(p)
-    sm = slow_manifold(p)
     doc = {
-        "params": {"A": p.A, "B": p.B, "C": p.C},
+        "params": asdict(p),
         "region": region(p),
         "equilibria": [equilibrium_to_dict(e) for e in reports],
-        "slow_manifold": slow_manifold_to_dict(sm),
+        "slow_manifold": slow_manifold_to_dict(slow_manifold(p)),
     }
     if args.format == "json":
         _emit(dumps(doc), args.out)
@@ -123,152 +128,93 @@ def cmd_equilibria(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    p = _params(args)
-    ic = _triple(args.ic, "--ic")
     if args.resample == 1 or args.resample < 0:
-        raise _usage_error("--resample must be 0 (raw steps) or at least 2")
-    try:
-        traj = integrate(p, ic, args.t_end, rtol=args.rtol, atol=args.atol)
-    except ValueError as exc:
-        raise _usage_error(str(exc))
-    except IntegrationError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return FAILURE
-    _emit(trajectory_csv(traj, resample_n=args.resample), args.out)
+        raise ValueError("--resample must be 0 (raw steps) or at least 2")
+    _emit(trajectory_csv(_orbit(args), resample_n=args.resample), args.out)
     return 0
 
 
 def cmd_classify_shell(args) -> int:
-    p = _params(args)
-    ic = _triple(args.ic, "--ic")
-    try:
-        traj = integrate(p, ic, args.t_end, rtol=args.rtol, atol=args.atol)
-    except ValueError as exc:
-        raise _usage_error(str(exc))
-    except IntegrationError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return FAILURE
-    c = classify_shell(traj)
-    doc = classification_to_dict(c)
-    doc["params"] = {"A": p.A, "B": p.B, "C": p.C}
-    doc["ic"] = list(ic)
+    traj = _orbit(args)
+    doc = classification_to_dict(classify_shell(traj))
+    doc["params"] = asdict(traj.params)
+    doc["ic"] = list(traj.states[0])
     doc["t_end"] = args.t_end
     _emit(dumps(doc), args.out)
     return 0
 
 
 def cmd_poincare(args) -> int:
-    p = _params(args)
-    ic = _triple(args.ic, "--ic")
     point = _triple(args.plane_point, "--plane-point")
     normal = _triple(args.plane_normal, "--plane-normal")
-    try:
-        traj = integrate(p, ic, args.t_end, rtol=args.rtol, atol=args.atol)
-        crossings = poincare(traj, point, normal)
-    except ValueError as exc:
-        raise _usage_error(str(exc))
-    except IntegrationError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return FAILURE
-    _emit(dumps(crossings_to_dict(crossings)), args.out)
+    _emit(dumps(crossings_to_dict(poincare(_orbit(args), point, normal))), args.out)
     return 0
 
 
 def cmd_limit_cycle(args) -> int:
     p = _params(args)
     ic = _triple(args.ic, "--ic")
-    if region(p) != "region_b":
-        print(
-            f"warning: parameters lie in {region(p)}, not region_b; "
-            "an isolated cycle is not expected",
-            file=sys.stderr,
-        )
     # unset tolerances keep the search's own defaults, not the integrator's
     tols = {k: v for k, v in (("rtol", args.rtol), ("atol", args.atol)) if v is not None}
     try:
         lc = detect_limit_cycle(
             p, ic, eps_cycle=args.eps_cycle, explore_time=args.explore_time, **tols
         )
-    except ValueError as exc:
-        raise _usage_error(str(exc))
+        doc, code = limit_cycle_to_dict(lc), 0
     except (LimitCycleNotFound, IntegrationError) as exc:
-        history = getattr(exc, "history", ())
-        _emit(dumps(cycle_failure_to_dict(str(exc), history)), args.out)
-        return FAILURE
-    _emit(dumps(limit_cycle_to_dict(lc)), args.out)
-    return 0
+        # a failed search is still a result: a JSON report with the history
+        doc, code = cycle_failure_to_dict(str(exc), getattr(exc, "history", ())), FAILURE
+    _emit(dumps(doc), args.out)
+    # warned after the search, so that a rejected input leaves one stderr line
+    if region(p) != "region_b":
+        print(f"warning: parameters lie in {region(p)}, not region_b; "
+              "an isolated cycle is not expected", file=sys.stderr)
+    return code
 
 
 def cmd_surgery(args) -> int:
-    try:
-        with open(args.input) as f:
-            doc = json.load(f)
-        if "kind" not in doc and "complex" in doc:
-            doc = doc["complex"]  # accept our own output documents back
-        m = complex_from_dict(doc)
-    except (OSError, ValueError, KeyError, InvalidManifold) as exc:
-        raise _usage_error(f"cannot load complex: {exc}")
+    with open(args.input) as f:
+        doc = json.load(f)
+    if isinstance(doc, dict) and "kind" not in doc:
+        doc = doc.get("complex", doc)  # accept our own output documents back
+    m = complex_from_dict(doc)
+    if (args.dim == 1) != isinstance(m, manifolds.OneManifold):
+        raise ValueError(f"--dim {args.dim} needs a {'curve' if args.dim == 1 else 'surface'}")
     g = GluingMap(rotation=args.rotation, orientation_flip=args.flip)
-    try:
-        if args.dim == 1:
-            arcs = _int_list(args.site, "--site")
-            if len(arcs) != 2:
-                raise _usage_error("1-dimensional site needs exactly 2 arcs")
-            result = surgery_1d_0(m, CurveSite(arcs), g)
-        elif args.type == 0:
-            if not args.site_a or not args.site_b:
-                raise _usage_error("2-dimensional 0-surgery needs --site-a and --site-b")
-            site = DiscPairSite(
-                _int_list(args.site_a, "--site-a"), _int_list(args.site_b, "--site-b")
-            )
-            result = surgery_2d_0(m, site, g)
-        else:
-            if not args.site:
-                raise _usage_error("2-dimensional 1-surgery needs --site")
-            result = surgery_2d_1(m, AnnulusSite(_int_list(args.site, "--site")), g)
-    except (InvalidSite, InvalidManifold, TypeError) as exc:
-        raise _usage_error(f"invalid surgery: {exc}")
-    doc = {
-        "complex": complex_to_dict(result),
-        "invariants": invariants_to_dict(invariants(result)),
-    }
-    _emit(dumps(doc), args.out)
+    if args.dim == 1:
+        arcs = _int_list(args.site, "--site")
+        if len(arcs) != 2:
+            raise ValueError("1-dimensional site needs exactly 2 arcs")
+        result = surgery_1d_0(m, CurveSite(arcs), g)
+    elif args.type == 0:
+        site = DiscPairSite(
+            _int_list(args.site_a, "--site-a"), _int_list(args.site_b, "--site-b")
+        )
+        result = surgery_2d_0(m, site, g)
+    else:
+        result = surgery_2d_1(m, AnnulusSite(_int_list(args.site, "--site")), g)
+    _emit_complex(result, args.out)
     return 0
 
 
 def cmd_build(args) -> int:
-    try:
-        if args.kind in ("circle",):
-            m = manifolds.build_standard("circle", args.n)
-        elif args.kind == "two_circles":
-            m = manifolds.build_standard("two_circles", args.n, args.m)
-        elif args.kind == "genus_g":
-            m = manifolds.build_standard("genus_g", args.g)
-        elif args.kind == "globe":
-            m = manifolds.globe(args.rings, args.segments)
-        else:
-            m = manifolds.build_standard(args.kind)
-    except (InvalidManifold, ValueError) as exc:
-        raise _usage_error(str(exc))
-    doc = {
-        "complex": complex_to_dict(m),
-        "invariants": invariants_to_dict(invariants(m)),
-    }
-    _emit(dumps(doc), args.out)
+    if args.kind == "globe":
+        m = manifolds.globe(args.rings, args.segments)
+    else:
+        sizes = {"circle": (args.n,), "two_circles": (args.n, args.m), "genus_g": (args.g,)}
+        m = manifolds.build_standard(args.kind, *sizes.get(args.kind, ()))
+    _emit_complex(m, args.out)
     return 0
 
 
 def cmd_morse_frames(args) -> int:
-    try:
-        frames = morse.morse_frames(args.t, box=args.box, resolution=args.resolution)
-    except ValueError as exc:
-        raise _usage_error(str(exc))
+    if args.format == "svg" and not args.out_dir:
+        raise ValueError("--format svg requires --out-dir")
+    frames = morse.morse_frames(args.t, box=args.box, resolution=args.resolution)
     if args.format == "json":
         doc = {"frames": [frame_to_dict(f) for f in frames]}
         _emit(dumps(doc), args.out)
     else:
-        if not args.out_dir:
-            raise _usage_error("--format svg requires --out-dir")
         for i, f in enumerate(frames):
             atomic_write_text(f"{args.out_dir}/frame_{i:03d}.svg", frame_svg(f))
         print(f"wrote {len(frames)} frames to {args.out_dir}")
@@ -279,12 +225,9 @@ def cmd_solid_demo(args) -> int:
     kind = {"1d0": "solid_1d_0", "2d0": "solid_2d_0", "2d1": "solid_2d_1"}.get(
         args.kind, args.kind
     )
-    try:
-        fam_in, fam_out = solid.solid_surgery(kind, args.layers, args.direction)
-        rep_in = solid.cross_section_check(fam_in)
-        rep_out = solid.cross_section_check(fam_out)
-    except ValueError as exc:
-        raise _usage_error(str(exc))
+    fam_in, fam_out = solid.solid_surgery(kind, args.layers, args.direction)
+    rep_in = solid.cross_section_check(fam_in)
+    rep_out = solid.cross_section_check(fam_out)
     doc = {
         "input": family_to_dict(fam_in),
         "output": family_to_dict(fam_out),
@@ -299,26 +242,13 @@ def cmd_solid_demo(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    try:
-        with open(args.infile) as f:
-            rows = read_trajectory_csv(f.read())
-    except OSError as exc:
-        raise _usage_error(f"cannot read CSV: {exc}")
-    except CsvFormatError as exc:
-        raise _usage_error(f"malformed CSV: {exc}")
+    with open(args.infile) as f:
+        rows = read_trajectory_csv(f.read())
     markers = None
     if args.equilibria:
-        A, B, C = _triple(args.equilibria, "--equilibria")
-        try:
-            p = SystemParams(A, B, C)
-        except ValueError as exc:
-            raise _usage_error(str(exc))
+        p = SystemParams(*_triple(args.equilibria, "--equilibria"))
         markers = [(e.label, e.coordinates) for e in equilibria(p)]
-    try:
-        svg = trajectory_svg(rows, projection=args.projection, markers=markers)
-    except ValueError as exc:
-        raise _usage_error(str(exc))
-    _emit(svg, args.out)
+    _emit(trajectory_svg(rows, projection=args.projection, markers=markers), args.out)
     return 0
 
 
@@ -339,8 +269,15 @@ def _add_param_args(sp, with_ic=False, with_t_end=True):
         sp.add_argument("--atol", type=float)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a ValueError, for main to report."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="toposurge",
         description="Topological surgery on combinatorial manifolds and the "
         "three-species system whose orbits drill holes.",
@@ -431,15 +368,20 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    """Run one command.  This is the one place that maps failures to exit
+    codes: an IntegrationError is exit 1; a ValueError (bad arguments, values
+    or files, including InvalidManifold, InvalidSite, CsvFormatError and
+    json.JSONDecodeError) or an OSError is exit 2.  Either prints one line on
+    stderr.  Anything else is a bug and keeps its traceback."""
     try:
+        args = make_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit:
-        raise
-    except InvalidSite as exc:
+    except IntegrationError as exc:
+        print(f"integration failed: {exc}", file=sys.stderr)
+        return FAILURE
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise SystemExit(USAGE_ERROR) from None
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ Mat3 = tuple[Vec3, Vec3, Vec3]
 
 EPS_LAMBDA = 1e-9       # "zero" threshold for eigenvalue real parts
 EPS_REGION = 1e-12      # threshold on |B/A - 1|
-EPS_RESIDUAL = 1e-9     # eigenpair residual quality gate
 
 SADDLE = "saddle"
 UNSTABLE_CENTER = "unstable_center"
@@ -47,8 +46,8 @@ class SystemParams:
     C: float
 
     def __post_init__(self):
-        if not (self.A > 0 and self.B > 0 and self.C > 0):
-            raise ValueError("parameters A, B, C must all be positive")
+        if not all(0.0 < x < math.inf for x in (self.A, self.B, self.C)):
+            raise ValueError("parameters A, B, C must all be positive and finite")
 
 
 def rhs(s: Vec3, p: SystemParams) -> Vec3:
@@ -78,10 +77,6 @@ class EigenData:
     eigenvalues: tuple[complex, complex, complex]
     eigenvectors: tuple[tuple[complex, complex, complex], ...]
     residuals: tuple[float, float, float]
-
-    @property
-    def well_conditioned(self) -> bool:
-        return max(self.residuals) < EPS_RESIDUAL
 
 
 def _char_coeffs(m: Mat3) -> tuple[float, float, float]:
@@ -210,9 +205,10 @@ def steady_states(p: SystemParams) -> dict[str, Vec3]:
     }
 
 
-def classify_eigenvalues(lams, eps: float = EPS_LAMBDA) -> str:
+def classify_eigenvalues(lams) -> str:
     """Sign-pattern stability class from one real eigenvalue plus a complex
     pair (centers and vortices) or three mixed-sign reals (saddle)."""
+    eps = EPS_LAMBDA
     reals = [z for z in lams if abs(z.imag) <= eps]
     pairs = [z for z in lams if z.imag > eps]
     if len(reals) == 3:
@@ -235,8 +231,8 @@ def classify_eigenvalues(lams, eps: float = EPS_LAMBDA) -> str:
     return UNCLASSIFIED
 
 
-def classify_equilibrium(e: EigenData, eps: float = EPS_LAMBDA) -> str:
-    return classify_eigenvalues(e.eigenvalues, eps)
+def classify_equilibrium(e: EigenData) -> str:
+    return classify_eigenvalues(e.eigenvalues)
 
 
 def equilibria(p: SystemParams) -> list[EquilibriumReport]:
@@ -261,13 +257,13 @@ def c_window(p: SystemParams) -> bool:
     return lower < p.C <= upper
 
 
-def region(p: SystemParams, eps: float = EPS_REGION) -> str:
+def region(p: SystemParams) -> str:
     ratio = p.B / p.A
     if not c_window(p):
         return REGION_OTHER
-    if abs(ratio - 1.0) <= eps:
+    if abs(ratio - 1.0) <= EPS_REGION:
         return REGION_A
-    if ratio > 1.0 + eps:
+    if ratio > 1.0 + EPS_REGION:
         return REGION_B
     return REGION_OTHER
 
@@ -310,10 +306,10 @@ class SlowManifold:
         return u, e1, e2
 
 
-def slow_manifold(p: SystemParams, eps: float = EPS_REGION) -> SlowManifold:
+def slow_manifold(p: SystemParams) -> SlowManifold:
     ss = steady_states(p)
     return SlowManifold(
-        exists=abs(p.B / p.A - 1.0) <= eps,
+        exists=abs(p.B / p.A - 1.0) <= EPS_REGION,
         params=p,
         s2=ss["S2"],
         s3=ss["S3"],

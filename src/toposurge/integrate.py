@@ -43,6 +43,7 @@ class IntegrationError(RuntimeError):
 
 
 _TOL_MIN, _TOL_MAX = 1e-13, 1e-3
+_MAX_STEPS = 5_000_000  # accepted plus rejected steps in one integration
 
 # Dormand-Prince 5(4) tableau.  The last row of _A is also the 5th-order
 # solution's weights (FSAL: the last stage is f at the new state).
@@ -131,10 +132,10 @@ def integrate(
     t_end: float,
     rtol: float | None = None,
     atol: float | None = None,
-    max_steps: int = 5_000_000,
     stop: Callable[[float, float, float, float], bool] | None = None,
 ) -> Trajectory:
-    """Integrate from t = 0 to t_end, recording every accepted step.
+    """Integrate from t = 0 to a finite t_end > 0, recording every accepted
+    step; any other t_end raises ValueError.
 
     rtol and atol default to TOPOSURGE_RTOL / TOPOSURGE_ATOL if set, else
     1e-9 / 1e-12; a malformed variable raises ValueError naming it.
@@ -143,8 +144,8 @@ def integrate(
     it returns true the integration ends there, that step included.  The
     steps before it are the ones an integration without stop takes.
     """
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
     if rtol is None:
         rtol = _env_tolerance("TOPOSURGE_RTOL", 1e-9)
     if atol is None:
@@ -153,7 +154,7 @@ def integrate(
         raise ValueError("tolerances must lie in [1e-13, 1e-3]")
 
     A, B, C = p.A, p.B, p.C
-    isfinite, sqrt = math.isfinite, math.sqrt
+    isfinite, sqrt, max_steps = math.isfinite, math.sqrt, _MAX_STEPS
     (
         _,
         (a10,),

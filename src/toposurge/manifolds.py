@@ -58,16 +58,6 @@ class OneManifold:
             out.update(ch)
         return frozenset(out)
 
-    def locate_arc(self, arc: int) -> tuple[str, int, int]:
-        """Return ('cycle'|'chain', container index, position) of an arc."""
-        for i, cyc in enumerate(self.cycles):
-            if arc in cyc:
-                return "cycle", i, cyc.index(arc)
-        for i, ch in enumerate(self.chains):
-            if arc in ch:
-                return "chain", i, ch.index(arc)
-        raise KeyError(f"arc {arc} not present")
-
 
 def circle(n: int, start: int = 0) -> OneManifold:
     if n < 2:
@@ -122,7 +112,7 @@ class Surface:
                 if not (0 <= v < self.n_vertices):
                     raise InvalidManifold(f"vertex {v} out of range in {t}")
             used.update(t)
-        if used != set(range(self.n_vertices)):
+        if len(used) != self.n_vertices:  # every vertex is in range, checked above
             raise InvalidManifold("unused vertex indices present")
 
         edge_count: dict[tuple[int, int], int] = {}
@@ -278,9 +268,6 @@ class InvariantReport:
     euler_characteristic: int
     orientable: bool
     genus: Optional[tuple[int, ...]]
-
-    def matches(self, other: "InvariantReport") -> bool:
-        return self == other
 
 
 def invariants(m: "OneManifold | Surface") -> InvariantReport:

@@ -9,6 +9,7 @@ node, so frames within grid tolerance of the saddle value are flagged
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 Point = tuple[float, float]
@@ -42,10 +43,12 @@ def morse_frames(
     """Marching-squares extraction of {x^2 - y^2 = t} inside [-box, box]^2."""
     if not t_values:
         raise ValueError("empty t list")
+    if not all(math.isfinite(t) for t in t_values):
+        raise ValueError("t values must be finite")
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
-    if box <= 0:
-        raise ValueError("box must be positive")
+    if not 0 < box < math.inf:
+        raise ValueError("box must be positive and finite")
     return [_extract_frame(t, box, resolution) for t in t_values]
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -32,6 +31,8 @@ from .integrate import Trajectory, integrate
 EPS_STATIONARY = 1e-6
 EPS_AXIS = 1e-12
 EPS_CYCLE = 1e-9
+MAX_NEWTON_ITERATIONS = 25
+MIN_CYCLE_SIZE = 1e-4         # smallest extent of a loop that counts as a cycle
 
 TUBE_TURNS_TOROIDAL = 3.0     # meridional circulations to call a tube a tube
 TUBE_TURNS_SPHERICAL = 1.5    # at most one arc traversal (plus slack)
@@ -247,11 +248,7 @@ class ShellClassification:
     evidence: dict[str, float] = field(default_factory=dict)
 
 
-def classify_shell(
-    traj: Trajectory,
-    axis: Optional[SlowManifold] = None,
-    eps_stationary: float = EPS_STATIONARY,
-) -> ShellClassification:
+def classify_shell(traj: Trajectory) -> ShellClassification:
     """Shell verdict for one integrated orbit.
 
     stationary: never leaves an eps ball around the initial state.
@@ -262,17 +259,15 @@ def classify_shell(
     """
     if len(traj) < 8:
         return ShellClassification("indeterminate", {"samples": float(len(traj))})
-    if axis is None:
-        axis = slow_manifold(traj.params)
 
     ys = np.asarray(traj.states)
     y0 = ys[0]
     disp = np.linalg.norm(ys - y0, axis=1)
     max_disp = float(disp.max())
-    if max_disp < eps_stationary:
+    if max_disp < EPS_STATIONARY:
         return ShellClassification("stationary", {"max_displacement": max_disp})
 
-    prof = winding_profile(traj, axis)
+    prof = winding_profile(traj, slow_manifold(traj.params))
     turns = abs(prof.total_turns)
     mono = prof.monotone_fraction
     diam = traj.diameter()
@@ -401,11 +396,9 @@ def detect_limit_cycle(
     p: SystemParams,
     ic: Vec3,
     explore_time: float = 300.0,
-    max_iterations: int = 25,
     eps_cycle: float = EPS_CYCLE,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    min_cycle_size: float = 1e-4,
 ) -> LimitCycle:
     """Find the periodic orbit by Newton iteration on the return map.
 
@@ -439,7 +432,7 @@ def detect_limit_cycle(
 
     history: list[float] = []
     period = 0.0
-    for _ in range(max_iterations):
+    for _ in range(MAX_NEWTON_ITERATIONS):
         try:
             pq, period = rm.first_return(q)
         except LimitCycleNotFound as exc:
@@ -454,7 +447,7 @@ def detect_limit_cycle(
                 - min(s[i] for s in cycle.loop_states)
                 for i in range(3)
             )
-            if size < min_cycle_size:
+            if size < MIN_CYCLE_SIZE:
                 raise LimitCycleNotFound(
                     "return iteration collapsed onto a steady point on the "
                     "axis; no isolated cycle here",
@@ -490,7 +483,7 @@ def detect_limit_cycle(
         q = q + scale * step
 
     raise LimitCycleNotFound(
-        f"no convergence within {max_iterations} iterations", tuple(history)
+        f"no convergence within {MAX_NEWTON_ITERATIONS} iterations", tuple(history)
     )
 
 

@@ -68,18 +68,31 @@ def complex_to_dict(m: Union[OneManifold, Surface]) -> dict:
     return out
 
 
+def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(v) for v in row) for row in rows)
+
+
+def _field(convert, value, key: str):
+    """convert(value) for the complex field key; ValueError if the field is
+    missing (None) or of the wrong type."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"complex field {key!r} is missing or malformed") from None
+
+
 def complex_from_dict(d: dict) -> Union[OneManifold, Surface]:
+    """Parse the complex schema above; a malformed document raises
+    ValueError, an invalid complex InvalidManifold (a ValueError too)."""
+    if not isinstance(d, dict):
+        raise ValueError("a complex document must be a JSON object")
     kind = d.get("kind")
     if kind == "surface":
-        return Surface(
-            int(d["vertices"]),
-            tuple(tuple(int(v) for v in t) for t in d["triangles"]),
-        )
+        return Surface(_field(int, d.get("vertices"), "vertices"),
+                       _field(_int_rows, d.get("triangles"), "triangles"))
     if kind == "curve":
-        return OneManifold(
-            tuple(tuple(int(a) for a in c) for c in d["cycles"]),
-            tuple(tuple(int(a) for a in c) for c in d.get("chains", [])),
-        )
+        return OneManifold(_field(_int_rows, d.get("cycles"), "cycles"),
+                           _field(_int_rows, d.get("chains", []), "chains"))
     raise ValueError(f"unknown complex kind {kind!r}")
 
 

@@ -189,12 +189,12 @@ def solid_surgery(
 # ---------------------------------------------------------------------------
 
 _SECTION_OF_LAYER = {
-    # layer type -> (number of section circles, circles in distinct components)
-    "sphere": (1, False),
-    "torus": (2, False),
-    "two_spheres": (2, True),
-    "circle": (1, False),
-    "two_circles": (2, True),
+    # layer type -> number of section circles
+    "sphere": 1,
+    "torus": 2,
+    "two_spheres": 2,
+    "circle": 1,
+    "two_circles": 2,
 }
 
 _SECTION_OF_LIMIT = {
@@ -242,13 +242,13 @@ def cross_section_check(f: SolidFamily) -> SectionReport:
     if f.kind not in KINDS:
         raise ValueError(f"unsupported kind {f.kind!r}")
     ref_layer, ref_limit = _reference_stage(f.role, f.direction)
-    expected = _SECTION_OF_LAYER[ref_layer][0]
+    expected = _SECTION_OF_LAYER[ref_layer]
 
     entries = []
     for layer in f.layers:
         if layer.layer_type not in _SECTION_OF_LAYER:
             raise ValueError(f"layer type {layer.layer_type!r} has no section rule")
-        got = _SECTION_OF_LAYER[layer.layer_type][0]
+        got = _SECTION_OF_LAYER[layer.layer_type]
         entries.append(
             SectionEntry(layer.radius, layer.layer_type, got, expected, got == expected)
         )

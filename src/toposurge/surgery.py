@@ -12,7 +12,7 @@ non-orientable results and exists as a deliberate negative test surface).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .manifolds import (
     OneManifold,
@@ -448,9 +448,9 @@ def surgery_2d_1(s: Surface, site: AnnulusSite, g: GluingMap) -> Surface:
 # site search helpers
 # ---------------------------------------------------------------------------
 
-def find_disc_pair(s: Surface) -> DiscPairSite:
-    """First pair of single-triangle discs that are vertex-disjoint and
-    non-adjacent; deterministic scan order."""
+def _disc_pairs(s: Surface) -> Iterator[DiscPairSite]:
+    """Pairs of single-triangle discs that are vertex-disjoint and
+    non-adjacent, lazily, in a deterministic scan order: O(T^2)."""
     vsets = [set(t) for t in s.triangles]
     neighbours: dict[int, set[int]] = {v: set() for v in range(s.n_vertices)}
     for t in s.triangles:
@@ -463,24 +463,17 @@ def find_disc_pair(s: Surface) -> DiscPairSite:
                 continue
             if any(neighbours[x] & vsets[j] for x in vsets[i]):
                 continue
-            return DiscPairSite((i,), (j,))
-    raise InvalidSite("no valid disc pair on this surface; refine it first")
+            yield DiscPairSite((i,), (j,))
+
+
+def find_disc_pair(s: Surface) -> DiscPairSite:
+    """The first valid single-triangle disc pair in scan order."""
+    site = next(_disc_pairs(s), None)
+    if site is None:
+        raise InvalidSite("no valid disc pair on this surface; refine it first")
+    return site
 
 
 def all_disc_pairs(s: Surface) -> list[DiscPairSite]:
     """Every valid single-triangle disc pair (for exhaustive checks)."""
-    out = []
-    vsets = [set(t) for t in s.triangles]
-    neighbours: dict[int, set[int]] = {v: set() for v in range(s.n_vertices)}
-    for t in s.triangles:
-        for u, v in _edges_of(t):
-            neighbours[u].add(v)
-            neighbours[v].add(u)
-    for i in range(len(s.triangles)):
-        for j in range(i + 1, len(s.triangles)):
-            if vsets[i] & vsets[j]:
-                continue
-            if any(neighbours[x] & vsets[j] for x in vsets[i]):
-                continue
-            out.append(DiscPairSite((i,), (j,)))
-    return out
+    return list(_disc_pairs(s))

@@ -1,13 +1,17 @@
+import io
 import json
 import math
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toposurge.cli import main
-from toposurge.manifolds import invariants
-from toposurge.serialize import complex_from_dict
+from toposurge.manifolds import circle, globe, invariants
+from toposurge.serialize import complex_from_dict, complex_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -351,3 +355,140 @@ def test_limit_cycle_offers_no_t_end(capsys):
         main(LIMIT_CYCLE_B + ["--t-end", "5"])
     assert exc_info.value.code == 2
     assert "--t-end" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# bad input: exit 2 with one stderr line and nothing on stdout
+# ---------------------------------------------------------------------------
+
+P3 = ["--A", "3", "--B", "3", "--C", "3"]
+
+
+def input_files(d: Path) -> dict[str, str]:
+    """Good and bad input files written under d, by name, plus two paths
+    that cannot be read or written."""
+    texts = {
+        "surface": json.dumps(complex_to_dict(globe())),
+        "curve": json.dumps(complex_to_dict(circle(6))),
+        "list": "[1, 2]",
+        "badfield": '{"kind": "surface", "vertices": 4, "triangles": 5}',
+        "csv": (GOLDEN / "regiona_t50.csv").read_text(),
+        "badcsv": "t,X,Y,Z\n0,1,1,1\n1,oops,1,1\n",
+        "file": "not a directory\n",
+    }
+    paths = {"missing": str(d / "missing"), "under_file": str(d / "file" / "out")}
+    for name, text in texts.items():
+        (d / name).write_text(text)
+        paths[name] = str(d / name)
+    return paths
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of one main call; any exception but
+    SystemExit propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["equilibria", "--A", "inf", "--B", "3", "--C", "3"],
+    ["plot", "--in", "{csv}", "--equilibria", "3,3,inf"],
+    ["surgery", "--input", "{surface}", "--dim", "1", "--site", "1,4"],
+    ["surgery", "--input", "{curve}", "--dim", "2", "--site-a", "0", "--site-b", "3"],
+    ["equilibria", *P3, "--out", "{under_file}"],
+    ["simulate", *P3, "--ic", "1,1,1", "--t-end", "nan"],
+    ["simulate", *P3, "--ic", "1,1,1", "--t-end", "inf"],
+    ["morse-frames", "--t", "1", "--box", "inf"],
+    ["morse-frames", "--t", "0", "nan"],
+    ["surgery", "--input", "{list}", "--dim", "2", "--site-a", "0", "--site-b", "3"],
+    ["surgery", "--input", "{badfield}", "--dim", "2", "--site-a", "0", "--site-b", "3"],
+    ["surgery", "--input", "{curve}", "--dim", "1"],
+    # the region warning of limit-cycle must not add a second line
+    ["limit-cycle", *P3, "--ic", "1,1,1", "--explore-time", "0"],
+    # a command line argparse rejects is reported the same way
+    ["simulate", *P3, "--ic", "1,1,1", "--t-end", "abc"],
+])
+def test_bad_input_is_exit_2_with_one_line(tmp_path, argv):
+    files = input_files(tmp_path)
+    code, out, err = run_in_process([a.format(**files) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+HOSTILE = ["nan", "inf", "-1", "0", "abc", "", "1,2"]
+OMIT, FLAG = "<omit>", "<flag>"
+PARAM = (["3", "2.9851", "0.5"], HOSTILE)
+PARAMS = {"--A": PARAM, "--B": PARAM, "--C": PARAM}
+START = {**PARAMS,
+         "--ic": (["1,1,1", "1,1,0.9", "1,1.3,0.89", "0.5,0.5,0.5"], HOSTILE + ["1e200,0,0"]),
+         "--rtol": ([OMIT, "1e-8"], HOSTILE + ["1"]), "--atol": ([OMIT, "1e-11"], HOSTILE)}
+ORBIT = {**START, "--t-end": ([OMIT, "0.5", "5", "20"], HOSTILE)}
+OUT = {"--out": ([OMIT, "{out}"], ["{under_file}", "{missing}/x", "{file}", "", "."])}
+SIZE = ["-1", "0", "1", "abc", ""]
+SITES = ["0,1,2,3,4,5", "30,31,32,33,34,35", "2,3,4", "1,4", ",".join(map(str, range(6, 18)))]
+FILES = (["{surface}", "{curve}"], ["{list}", "{badfield}", "{csv}", "{missing}", "{file}/x"])
+# subcommand -> option -> (sane values, hostile values); a command line
+# draws sane values for all but at most two options
+COMMANDS = {
+    "equilibria": {**PARAMS, "--format": ([OMIT, "json", "text"], ["abc"]), **OUT},
+    "simulate": {**ORBIT, "--resample": ([OMIT, "0", "2", "50"], SIZE), **OUT},
+    "classify-shell": {**ORBIT, **OUT},
+    "poincare": {**ORBIT, "--plane-point": (["1,1,1", "0,0,0"], HOSTILE),
+                 "--plane-normal": (["1,0,0", "0,1,1"], HOSTILE + ["0,0,0"]), **OUT},
+    "limit-cycle": {**START, "--explore-time": ([OMIT, "5", "20"], HOSTILE),
+                    "--eps-cycle": ([OMIT, "1e-9", "1e-6"], HOSTILE), **OUT},
+    "surgery": {"--input": FILES, "--dim": (["1", "2"], ["0", "abc"]),
+                "--type": ([OMIT, "0", "1"], ["2"]), "--site": (SITES, HOSTILE),
+                "--site-a": (SITES, HOSTILE), "--site-b": (SITES, HOSTILE),
+                "--rotation": ([OMIT, "0", "1", "-1"], ["abc"]), "--flip": ([OMIT, FLAG], []),
+                **OUT},
+    "build": {"--kind": (["circle", "two_circles", "sphere", "torus", "genus_g", "globe"],
+                         ["abc"]),
+              "--n": ([OMIT, "2", "7"], SIZE), "--m": ([OMIT, "3"], SIZE),
+              "--g": ([OMIT, "0", "2"], SIZE), "--rings": ([OMIT, "3", "5"], SIZE),
+              "--segments": ([OMIT, "4", "6"], SIZE), **OUT},
+    "morse-frames": {"--t": (["-1", "1", "-1 0 1", "0.25"], HOSTILE + ["1 nan"]),
+                     "--box": ([OMIT, "2", "0.5"], HOSTILE),
+                     "--resolution": ([OMIT, "8", "16"], SIZE + ["7"]),
+                     "--format": ([OMIT, "json", "svg"], ["abc"]),
+                     "--out-dir": ([OMIT, "{out}"], ["{under_file}", "{file}"]), **OUT},
+    "solid-demo": {"--kind": (["1d0", "2d0", "2d1"], ["abc"]),
+                   "--layers": ([OMIT, "1", "5"], SIZE),
+                   "--direction": ([OMIT, "forward", "dual"], ["abc"]), **OUT},
+    "plot": {"--in": (["{csv}"], FILES[1] + ["{badcsv}", "{surface}"]),
+             "--projection": ([OMIT, "xy", "iso"], ["abc"]),
+             "--equilibria": ([OMIT, "3,3,3", "2.9851,3,3"], HOSTILE), **OUT},
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    options = COMMANDS[command]
+    spoiled = draw(st.sets(st.sampled_from(sorted(options)), max_size=2))
+    argv = [command]
+    for option, (sane, hostile) in options.items():
+        choices = [OMIT, *hostile] if option in spoiled else sane
+        value = draw(st.sampled_from(choices))
+        if value == FLAG:
+            argv.append(option)
+        elif value != OMIT:
+            argv += [option, *value.split(" ")]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command_lines())
+def test_any_command_line_ends_in_0_1_or_2(argv):
+    with tempfile.TemporaryDirectory() as d:
+        files = input_files(Path(d))
+        files["out"] = str(Path(d) / "out")
+        code, out, err = run_in_process([a.format(**files) for a in argv])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.count("\n") == 1

@@ -256,3 +256,7 @@ def test_positive_parameter_validation():
         SystemParams(0, 3, 3)
     with pytest.raises(ValueError):
         SystemParams(3, -1, 3)
+    with pytest.raises(ValueError, match="finite"):
+        SystemParams(math.inf, 3, 3)
+    with pytest.raises(ValueError):
+        SystemParams(3, 3, math.nan)

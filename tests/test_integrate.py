@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -124,6 +125,11 @@ def test_precondition_errors():
     p = SystemParams(3, 3, 3)
     with pytest.raises(ValueError):
         integrate(p, (1, 1, 1), 0.0)
+    # NaN would pass a plain t_end <= 0 test, and inf run to the step budget
+    with pytest.raises(ValueError, match="finite"):
+        integrate(p, (1, 1, 1), math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        integrate(p, (1, 1, 1), math.inf)
     with pytest.raises(ValueError):
         integrate(p, (1, 1, 1), 10.0, rtol=1e-2)
     with pytest.raises(ValueError):

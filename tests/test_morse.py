@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -60,3 +62,7 @@ def test_validation_errors():
         morse_frames([0.0], resolution=4)
     with pytest.raises(ValueError):
         morse_frames([0.0], box=-1.0)
+    with pytest.raises(ValueError, match="finite"):
+        morse_frames([0.0], box=math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        morse_frames([0.0, math.nan])
