@@ -172,7 +172,20 @@ def cmd_limit_cycle(args) -> int:
     return code
 
 
+# surgery -> the options it does not read, which it therefore rejects
+_SURGERY_UNUSED = {
+    "1-dimensional 0-surgery": ("type", "rotation", "site_a", "site_b"),
+    "2-dimensional 0-surgery": ("site",),
+    "2-dimensional 1-surgery": ("site_a", "site_b", "rotation", "flip"),
+}
+
+
 def cmd_surgery(args) -> int:
+    kind = ("1-dimensional 0-surgery" if args.dim == 1
+            else f"2-dimensional {args.type or 0}-surgery")
+    for name in _SURGERY_UNUSED[kind]:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to {kind}")
     with open(args.input) as f:
         doc = json.load(f)
     if isinstance(doc, dict) and "kind" not in doc:
@@ -180,19 +193,19 @@ def cmd_surgery(args) -> int:
     m = complex_from_dict(doc)
     if (args.dim == 1) != isinstance(m, manifolds.OneManifold):
         raise ValueError(f"--dim {args.dim} needs a {'curve' if args.dim == 1 else 'surface'}")
-    g = GluingMap(rotation=args.rotation, orientation_flip=args.flip)
+    g = GluingMap(rotation=args.rotation or 0, orientation_flip=bool(args.flip))
     if args.dim == 1:
         arcs = _int_list(args.site, "--site")
         if len(arcs) != 2:
             raise ValueError("1-dimensional site needs exactly 2 arcs")
         result = surgery_1d_0(m, CurveSite(arcs), g)
-    elif args.type == 0:
+    elif args.type == 1:
+        result = surgery_2d_1(m, AnnulusSite(_int_list(args.site, "--site")), g)
+    else:
         site = DiscPairSite(
             _int_list(args.site_a, "--site-a"), _int_list(args.site_b, "--site-b")
         )
         result = surgery_2d_0(m, site, g)
-    else:
-        result = surgery_2d_1(m, AnnulusSite(_int_list(args.site, "--site")), g)
     _emit_complex(result, args.out)
     return 0
 
@@ -210,6 +223,10 @@ def cmd_build(args) -> int:
 def cmd_morse_frames(args) -> int:
     if args.format == "svg" and not args.out_dir:
         raise ValueError("--format svg requires --out-dir")
+    if args.format == "svg" and args.out is not None:
+        raise ValueError("--out does not apply to --format svg; use --out-dir")
+    if args.format == "json" and args.out_dir is not None:
+        raise ValueError("--out-dir does not apply to --format json; use --out")
     frames = morse.morse_frames(args.t, box=args.box, resolution=args.resolution)
     if args.format == "json":
         doc = {"frames": [frame_to_dict(f) for f in frames]}
@@ -318,12 +335,14 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("surgery", help="cut-and-glue on a complex JSON file")
     sp.add_argument("--input", required=True)
     sp.add_argument("--dim", type=int, choices=(1, 2), required=True)
-    sp.add_argument("--type", type=int, choices=(0, 1), default=0)
+    # --type, --rotation and --flip default to None, "not given": a surgery
+    # rejects the ones it does not read; unset --type and --rotation mean 0
+    sp.add_argument("--type", type=int, choices=(0, 1))
     sp.add_argument("--site", help="arc pair (1d) or annulus triangles (2d type 1)")
     sp.add_argument("--site-a", dest="site_a", help="first disc triangles (2d type 0)")
     sp.add_argument("--site-b", dest="site_b", help="second disc triangles (2d type 0)")
-    sp.add_argument("--rotation", type=int, default=0)
-    sp.add_argument("--flip", action="store_true")
+    sp.add_argument("--rotation", type=int)
+    sp.add_argument("--flip", action="store_true", default=None)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_surgery)
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -98,12 +99,9 @@ class Trajectory:
 
     def state_at(self, tq: float) -> Vec3:
         """Cubic Hermite interpolation at time tq within the sampled range."""
-        return hermite_state(self.t, self.states, self.derivs, tq)
-
-    def diameter(self) -> float:
-        lo = [min(s[i] for s in self.states) for i in range(3)]
-        hi = [max(s[i] for s in self.states) for i in range(3)]
-        return max(h - l for h, l in zip(hi, lo))
+        ts, ys, fs = self.t, self.states, self.derivs
+        i = max(0, min(bisect_right(ts, tq) - 1, len(ts) - 2))
+        return _hermite(ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1], tq)
 
 
 def _initial_step(f0: Vec3, y0: Vec3, p: SystemParams, t_end: float,
@@ -292,28 +290,6 @@ def _hermite(t0, t1, y0, y1, f0, f1, tq):
     return tuple(
         h00 * a + h10 * h * fa + h01 * b + h11 * h * fb
         for a, b, fa, fb in zip(y0, y1, f0, f1)
-    )
-
-
-def _bracket(ts, tq: float) -> int:
-    lo, hi = 0, len(ts) - 1
-    if tq <= ts[0]:
-        return 0
-    if tq >= ts[-1]:
-        return len(ts) - 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ts[mid] <= tq:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def hermite_state(ts, states, derivs, tq: float) -> Vec3:
-    i = _bracket(ts, tq)
-    return _hermite(
-        ts[i], ts[i + 1], states[i], states[i + 1], derivs[i], derivs[i + 1], tq
     )
 
 

@@ -9,7 +9,7 @@ construction so that downstream cut-and-glue code can assume manifoldness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 
 class InvalidManifold(ValueError):
@@ -87,6 +87,50 @@ def _ukey(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _edge_triangles(tris: Sequence[Triangle]) -> dict[tuple[int, int], list[int]]:
+    """Map each undirected edge (low, high) to the indices of the triangles
+    holding it.  Edges and indices keep the order of the triangle list."""
+    inc: dict[tuple[int, int], list[int]] = {}
+    for ti, (a, b, c) in enumerate(tris):
+        for u, v in ((a, b), (b, c), (c, a)):
+            inc.setdefault((u, v) if u < v else (v, u), []).append(ti)
+    return inc
+
+
+def _flood(
+    tris: Sequence[Triangle], inc: dict[tuple[int, int], list[int]]
+) -> tuple[list[int], bool]:
+    """Flood the triangles across shared edges.  Returns each triangle's
+    component, numbered in the order of its lowest triangle index, and
+    whether every component can be oriented coherently: two triangles that
+    share an edge must traverse it in opposite directions once flipped."""
+    comp = [-1] * len(tris)
+    flip = [False] * len(tris)
+    orientable = True
+    n = 0
+    for seed in range(len(tris)):
+        if comp[seed] >= 0:
+            continue
+        comp[seed] = n
+        stack = [seed]
+        while stack:
+            ti = stack.pop()
+            for u, v in _edges_of(tris[ti]):
+                for tj in inc[(u, v) if u < v else (v, u)]:
+                    if tj == ti:
+                        continue
+                    # tj keeps ti's flip iff it runs the shared edge as (v, u)
+                    want = flip[ti] != ((u, v) in _edges_of(tris[tj]))
+                    if comp[tj] < 0:
+                        comp[tj] = n
+                        flip[tj] = want
+                        stack.append(tj)
+                    elif flip[tj] != want:
+                        orientable = False
+        n += 1
+    return comp, orientable
+
+
 @dataclass(frozen=True)
 class Surface:
     """Closed triangulated surface: oriented triangles over 0..n_vertices-1.
@@ -115,12 +159,7 @@ class Surface:
         if len(used) != self.n_vertices:  # every vertex is in range, checked above
             raise InvalidManifold("unused vertex indices present")
 
-        edge_count: dict[tuple[int, int], int] = {}
-        for t in self.triangles:
-            for u, v in _edges_of(t):
-                k = _ukey(u, v)
-                edge_count[k] = edge_count.get(k, 0) + 1
-        bad = [e for e, c in edge_count.items() if c != 2]
+        bad = [e for e, ts in _edge_triangles(self.triangles).items() if len(ts) != 2]
         if bad:
             raise InvalidManifold(f"edges not shared by exactly 2 triangles: {bad[:4]}")
 
@@ -134,14 +173,6 @@ class Surface:
         for v, opp in around.items():
             if not _is_single_link_cycle(opp):
                 raise InvalidManifold(f"link of vertex {v} is not a single cycle")
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        out = set()
-        for t in self.triangles:
-            for u, v in _edges_of(t):
-                out.add(_ukey(u, v))
-        return frozenset(out)
 
 
 def _is_single_link_cycle(opposite_edges: list[tuple[int, int]]) -> bool:
@@ -262,7 +293,8 @@ def globe_band(j: int, n_seg: int = 6) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class InvariantReport:
     """Topological certificate: component count, Euler characteristic,
-    orientability and (when defined) per-component genus."""
+    orientability and (when defined) per-component genus.  ``genus`` lists
+    the components in the order of their lowest triangle index."""
 
     components: int
     euler_characteristic: int
@@ -279,85 +311,24 @@ def invariants(m: "OneManifold | Surface") -> InvariantReport:
 
 
 def _surface_invariants(s: Surface) -> InvariantReport:
-    # components by union-find over vertices
-    parent = list(range(s.n_vertices))
+    inc = _edge_triangles(s.triangles)
+    comp, orientable = _flood(s.triangles, inc)
+    # per component V - E + F; a vertex or an edge lies in one component
+    chi_per = [0] * (max(comp) + 1)
+    comp_of_vertex = [0] * s.n_vertices
+    for t, c in zip(s.triangles, comp):
+        chi_per[c] += 1
+        for v in t:
+            comp_of_vertex[v] = c
+    for ts in inc.values():
+        chi_per[comp[ts[0]]] -= 1
+    for c in comp_of_vertex:
+        chi_per[c] += 1
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for a, b, c in s.triangles:
-        union(a, b)
-        union(b, c)
-
-    comp_of = [find(v) for v in range(s.n_vertices)]
-    roots = sorted(set(comp_of))
-    comp_index = {r: i for i, r in enumerate(roots)}
-    n_comp = len(roots)
-
-    v_per = [0] * n_comp
-    for v in range(s.n_vertices):
-        v_per[comp_index[comp_of[v]]] += 1
-    e_per = [0] * n_comp
-    for u, v in s.edges:
-        e_per[comp_index[comp_of[u]]] += 1
-    f_per = [0] * n_comp
-    for t in s.triangles:
-        f_per[comp_index[comp_of[t[0]]]] += 1
-
-    chi_per = [v_per[i] - e_per[i] + f_per[i] for i in range(n_comp)]
-    orientable = _orientable(s)
     genus: Optional[tuple[int, ...]] = None
     if orientable:
         genus = tuple((2 - chi) // 2 for chi in chi_per)
-    return InvariantReport(n_comp, sum(chi_per), orientable, genus)
-
-
-def _orientable(s: Surface) -> bool:
-    """Coherent-orientation propagation across triangle adjacency."""
-    # map undirected edge -> incident triangle indices
-    inc: dict[tuple[int, int], list[int]] = {}
-    for ti, t in enumerate(s.triangles):
-        for u, v in _edges_of(t):
-            inc.setdefault(_ukey(u, v), []).append(ti)
-
-    flip = [None] * len(s.triangles)  # None = unvisited, False/True = keep/reverse
-
-    def directed_edges(ti: int, flipped: bool):
-        a, b, c = s.triangles[ti]
-        if flipped:
-            a, c = c, a
-        return ((a, b), (b, c), (c, a))
-
-    for seed in range(len(s.triangles)):
-        if flip[seed] is not None:
-            continue
-        flip[seed] = False
-        stack = [seed]
-        while stack:
-            ti = stack.pop()
-            dirs = set(directed_edges(ti, flip[ti]))
-            for u, v in dirs:
-                for tj in inc[_ukey(u, v)]:
-                    if tj == ti:
-                        continue
-                    # coherent iff tj traverses the shared edge as (v, u)
-                    tj_plain = set(directed_edges(tj, False))
-                    needs = (v, u) in tj_plain
-                    want_flip = not needs
-                    if flip[tj] is None:
-                        flip[tj] = want_flip
-                        stack.append(tj)
-                    elif flip[tj] != want_flip:
-                        return False
-    return True
+    return InvariantReport(len(chi_per), sum(chi_per), orientable, genus)
 
 
 # ---------------------------------------------------------------------------

@@ -79,11 +79,13 @@ def poincare(
     """Plane crossings located by sign change plus bisection on the cubic
     Hermite interpolant between accepted steps."""
     n = np.asarray(plane_normal, dtype=float)
+    p0 = np.asarray(plane_point, dtype=float)
+    if not (np.isfinite(n).all() and np.isfinite(p0).all()):
+        raise ValueError("plane point and normal must be finite")
     norm = np.linalg.norm(n)
     if norm == 0.0:
         raise ValueError("plane normal must be nonzero")
     n /= norm
-    p0 = np.asarray(plane_point, dtype=float)
     if len(traj) < 2:
         return []
 
@@ -270,7 +272,7 @@ def classify_shell(traj: Trajectory) -> ShellClassification:
     prof = winding_profile(traj, slow_manifold(traj.params))
     turns = abs(prof.total_turns)
     mono = prof.monotone_fraction
-    diam = traj.diameter()
+    diam = float(np.ptp(ys, axis=0).max())
 
     hs, rs = section_sequence(prof)
     tt = tube_turns(hs, rs)

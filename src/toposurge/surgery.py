@@ -18,7 +18,9 @@ from .manifolds import (
     OneManifold,
     Surface,
     Triangle,
+    _edge_triangles,
     _edges_of,
+    _flood,
     _ukey,
     compact_surface,
 )
@@ -186,20 +188,18 @@ def _canonical_chain(ch: list[int]) -> tuple[int, ...]:
 # site validation on surfaces
 # ---------------------------------------------------------------------------
 
-def _subcomplex_boundary(tris: Sequence[Triangle]) -> list[list[int]]:
-    """Directed boundary cycles of a sub-complex, or raise if malformed."""
-    count: dict[tuple[int, int], int] = {}
-    for t in tris:
-        for u, v in _edges_of(t):
-            k = _ukey(u, v)
-            count[k] = count.get(k, 0) + 1
-    if any(c > 2 for c in count.values()):
+def _subcomplex_boundary(
+    tris: Sequence[Triangle], inc: dict[tuple[int, int], list[int]]
+) -> list[list[int]]:
+    """Directed boundary cycles of a sub-complex with edge map ``inc``, or
+    raise if malformed."""
+    if any(len(ts) > 2 for ts in inc.values()):
         raise InvalidSite("site sub-complex has an edge in more than 2 triangles")
     # directed boundary edges follow the triangle orientation
     succ: dict[int, int] = {}
     for t in tris:
         for u, v in _edges_of(t):
-            if count[_ukey(u, v)] == 1:
+            if len(inc[_ukey(u, v)]) == 1:
                 if u in succ:
                     raise InvalidSite("site boundary is not a disjoint union of simple cycles")
                 succ[u] = v
@@ -218,58 +218,39 @@ def _subcomplex_boundary(tris: Sequence[Triangle]) -> list[list[int]]:
     return cycles
 
 
-def _subcomplex_chi(tris: Sequence[Triangle]) -> int:
-    verts = {v for t in tris for v in t}
-    edges = {_ukey(u, v) for t in tris for u, v in _edges_of(t)}
-    return len(verts) - len(edges) + len(tris)
-
-
-def _connected(tris: Sequence[Triangle]) -> bool:
-    if not tris:
-        return False
-    idx_of: dict[tuple[int, int], list[int]] = {}
-    for i, t in enumerate(tris):
-        for u, v in _edges_of(t):
-            idx_of.setdefault(_ukey(u, v), []).append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for u, v in _edges_of(tris[i]):
-            for j in idx_of[_ukey(u, v)]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-    return len(seen) == len(tris)
-
-
-def _check_disc(tris: Sequence[Triangle], label: str) -> list[int]:
-    if not tris:
+def _check_site(
+    s: Surface, indices: Sequence[int], label: str, chi: int, n_boundary: int
+) -> list[list[int]]:
+    """Check that triangles ``indices`` of s form an edge-connected
+    sub-complex with Euler characteristic ``chi`` and ``n_boundary``
+    boundary cycles; return the cycles, directed as the sub-complex sees
+    them."""
+    for idx in indices:
+        if not (0 <= idx < len(s.triangles)):
+            raise InvalidSite(f"triangle index {idx} out of range")
+    if not indices:
         raise InvalidSite(f"{label}: empty triangle set")
-    if not _connected(tris):
+    tris = [s.triangles[i] for i in indices]
+    inc = _edge_triangles(tris)
+    if max(_flood(tris, inc)[0]) != 0:
         raise InvalidSite(f"{label}: not edge-connected")
-    if _subcomplex_chi(tris) != 1:
-        raise InvalidSite(f"{label}: Euler characteristic != 1, not a disc")
-    cycles = _subcomplex_boundary(tris)
-    if len(cycles) != 1:
-        raise InvalidSite(f"{label}: expected a single boundary cycle")
-    return cycles[0]
+    if len({v for t in tris for v in t}) - len(inc) + len(tris) != chi:
+        raise InvalidSite(f"{label}: Euler characteristic != {chi}")
+    cycles = _subcomplex_boundary(tris, inc)
+    if len(cycles) != n_boundary:
+        raise InvalidSite(f"{label}: {len(cycles)} boundary cycles, expected {n_boundary}")
+    return cycles
 
 
 def validate_disc_pair(s: Surface, site: DiscPairSite) -> tuple[list[int], list[int]]:
     """Check the two-disc site and return the two boundary cycles, directed
     as the *removed* discs see them (i.e. following disc orientation)."""
-    for idx in site.disc_a + site.disc_b:
-        if not (0 <= idx < len(s.triangles)):
-            raise InvalidSite(f"triangle index {idx} out of range")
     if set(site.disc_a) & set(site.disc_b):
         raise InvalidSite("the two discs share triangles")
-    tris_a = [s.triangles[i] for i in site.disc_a]
-    tris_b = [s.triangles[i] for i in site.disc_b]
-    cyc_a = _check_disc(tris_a, "disc A")
-    cyc_b = _check_disc(tris_b, "disc B")
-    va = {v for t in tris_a for v in t}
-    vb = {v for t in tris_b for v in t}
+    (cyc_a,) = _check_site(s, site.disc_a, "disc A", 1, 1)
+    (cyc_b,) = _check_site(s, site.disc_b, "disc B", 1, 1)
+    va = {v for i in site.disc_a for v in s.triangles[i]}
+    vb = {v for i in site.disc_b for v in s.triangles[i]}
     if va & vb:
         raise InvalidSite("discs share vertices")
     for u, v in (e for t in s.triangles for e in _edges_of(t)):
@@ -279,22 +260,10 @@ def validate_disc_pair(s: Surface, site: DiscPairSite) -> tuple[list[int], list[
 
 
 def validate_annulus(s: Surface, site: AnnulusSite) -> tuple[list[int], list[int]]:
-    for idx in site.triangles:
-        if not (0 <= idx < len(s.triangles)):
-            raise InvalidSite(f"triangle index {idx} out of range")
-    tris = [s.triangles[i] for i in site.triangles]
-    if not tris:
-        raise InvalidSite("annulus: empty triangle set")
-    if not _connected(tris):
-        raise InvalidSite("annulus: not edge-connected")
-    if _subcomplex_chi(tris) != 0:
-        raise InvalidSite("annulus: Euler characteristic != 0")
-    cycles = _subcomplex_boundary(tris)
-    if len(cycles) != 2:
-        raise InvalidSite("annulus: expected exactly two boundary cycles")
-    if set(cycles[0]) & set(cycles[1]):
+    cyc_a, cyc_b = _check_site(s, site.triangles, "annulus", 0, 2)
+    if set(cyc_a) & set(cyc_b):
         raise InvalidSite("annulus: boundary cycles share vertices")
-    return cycles[0], cycles[1]
+    return cyc_a, cyc_b
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +273,7 @@ def validate_annulus(s: Surface, site: AnnulusSite) -> tuple[list[int], list[int
 def _hole_cycles(remaining: Sequence[Triangle]) -> dict[int, list[int]]:
     """Map 'first vertex' -> directed boundary cycle of the holes, following
     the orientation of the remaining triangles."""
-    cycles = _subcomplex_boundary(remaining)
+    cycles = _subcomplex_boundary(remaining, _edge_triangles(remaining))
     return {min(c): c for c in cycles}
 
 

@@ -395,6 +395,25 @@ def run_in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# (a valid surgery, a flag it does not read and so must reject)
+CURVE_SURGERY = ["surgery", "--input", "{curve}", "--dim", "1", "--site", "1,4"]
+DISC_SURGERY = ["surgery", "--input", "{surface}", "--dim", "2", "--type", "0",
+                "--site-a", "0,1,2,3,4,5", "--site-b", "30,31,32,33,34,35"]
+BAND_SURGERY = ["surgery", "--input", "{surface}", "--dim", "2", "--type", "1",
+                "--site", ",".join(str(i) for i in range(6, 18))]
+UNREAD_SURGERY_FLAGS = [
+    (CURVE_SURGERY, ["--type", "0"]),
+    (CURVE_SURGERY, ["--rotation", "0"]),
+    (CURVE_SURGERY, ["--site-a", "0"]),
+    (CURVE_SURGERY, ["--site-b", "3"]),
+    (DISC_SURGERY, ["--site", "6"]),
+    (BAND_SURGERY, ["--site-a", "0"]),
+    (BAND_SURGERY, ["--site-b", "30"]),
+    (BAND_SURGERY, ["--rotation", "1"]),
+    (BAND_SURGERY, ["--flip"]),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["equilibria", "--A", "inf", "--B", "3", "--C", "3"],
     ["plot", "--in", "{csv}", "--equilibria", "3,3,inf"],
@@ -412,12 +431,26 @@ def run_in_process(argv):
     ["limit-cycle", *P3, "--ic", "1,1,1", "--explore-time", "0"],
     # a command line argparse rejects is reported the same way
     ["simulate", *P3, "--ic", "1,1,1", "--t-end", "abc"],
+    ["poincare", *P3, "--ic", "1,1.3,0.89", "--t-end", "5",
+     "--plane-point", "nan,1,1", "--plane-normal", "1,0,0"],
+    *[surgery + flag for surgery, flag in UNREAD_SURGERY_FLAGS],
+    ["morse-frames", "--t", "1", "--format", "svg", "--out-dir", "{missing}", "--out", "{missing}"],
+    ["morse-frames", "--t", "1", "--out-dir", "{missing}"],
 ])
 def test_bad_input_is_exit_2_with_one_line(tmp_path, argv):
     files = input_files(tmp_path)
     code, out, err = run_in_process([a.format(**files) for a in argv])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_surgery_names_the_flag_it_does_not_read(tmp_path):
+    files = input_files(tmp_path)
+    for surgery, flag in UNREAD_SURGERY_FLAGS:
+        # without the flag the surgery succeeds
+        assert run_in_process([a.format(**files) for a in surgery])[0] == 0
+        code, _, err = run_in_process([a.format(**files) for a in surgery + flag])
+        assert code == 2 and err.startswith(f"error: {flag[0]} does not apply to ")
 
 
 HOSTILE = ["nan", "inf", "-1", "0", "abc", "", "1,2"]
@@ -443,8 +476,8 @@ COMMANDS = {
     "limit-cycle": {**START, "--explore-time": ([OMIT, "5", "20"], HOSTILE),
                     "--eps-cycle": ([OMIT, "1e-9", "1e-6"], HOSTILE), **OUT},
     "surgery": {"--input": FILES, "--dim": (["1", "2"], ["0", "abc"]),
-                "--type": ([OMIT, "0", "1"], ["2"]), "--site": (SITES, HOSTILE),
-                "--site-a": (SITES, HOSTILE), "--site-b": (SITES, HOSTILE),
+                "--type": ([OMIT, "0", "1"], ["2"]), "--site": ([OMIT, *SITES], HOSTILE),
+                "--site-a": ([OMIT, *SITES], HOSTILE), "--site-b": ([OMIT, *SITES], HOSTILE),
                 "--rotation": ([OMIT, "0", "1", "-1"], ["abc"]), "--flip": ([OMIT, FLAG], []),
                 **OUT},
     "build": {"--kind": (["circle", "two_circles", "sphere", "torus", "genus_g", "globe"],

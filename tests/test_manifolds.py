@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from toposurge.manifolds import (
     InvalidManifold,
@@ -17,6 +17,7 @@ from toposurge.manifolds import (
     tetra_sphere,
     two_circles,
 )
+from toposurge.surgery import DiscPairSite, GluingMap, attach_tube
 
 
 def test_tetra_sphere_invariants():
@@ -79,6 +80,65 @@ def test_disjoint_union_of_spheres():
     assert rep.components == 2
     assert rep.euler_characteristic == 4
     assert rep.genus == (0, 0)
+
+
+def _klein_bottle() -> Surface:
+    """A globe with its polar caps joined by a reversed tube."""
+    site = DiscPairSite(globe_north_cap(6), globe_south_cap(3, 6))
+    return attach_tube(globe(3, 6), site, GluingMap(0, True))[0]
+
+
+# name -> (stock surface, Euler characteristic, orientable, genus)
+PARTS = {
+    "sphere": (tetra_sphere(), 2, True, 0),
+    "globe": (globe(3, 5), 2, True, 0),
+    "torus": (moebius_kantor_torus(), 0, True, 1),
+    "genus_2": (build_standard("genus_g", 2), -2, True, 2),
+    "klein": (_klein_bottle(), 0, False, None),
+}
+
+
+def _union(parts, vertex_label=None, order=None) -> Surface:
+    """Disjoint union with vertex v relabelled vertex_label[v] and the
+    triangles listed in the given order (defaults: as concatenated)."""
+    tris, nv = [], 0
+    for p in parts:
+        tris += [tuple(v + nv for v in t) for t in p.triangles]
+        nv += p.n_vertices
+    label = vertex_label or list(range(nv))
+    tris = [tuple(label[v] for v in t) for t in tris]
+    return Surface(nv, tuple(tris[i] for i in (order or range(len(tris)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(names=st.lists(st.sampled_from(sorted(PARTS)), min_size=1, max_size=4),
+       rnd=st.randoms(use_true_random=False))
+def test_invariants_of_a_disjoint_union_add_up(names, rnd):
+    parts = [PARTS[n] for n in names]
+    nv = sum(p[0].n_vertices for p in parts)
+    labels = list(range(nv))
+    rnd.shuffle(labels)
+    order = list(range(sum(len(p[0].triangles) for p in parts)))
+    rnd.shuffle(order)
+    rep = invariants(_union([p[0] for p in parts], labels, order))
+    assert rep.components == len(parts)
+    assert rep.euler_characteristic == sum(p[1] for p in parts)
+    assert rep.orientable == all(p[2] for p in parts)
+    if rep.orientable:
+        assert sorted(rep.genus) == sorted(p[3] for p in parts)
+    else:
+        assert rep.genus is None
+
+
+def test_genus_lists_components_by_lowest_triangle():
+    sphere, torus = tetra_sphere(), moebius_kantor_torus()
+    assert invariants(_union([sphere, torus])).genus == (0, 1)
+    assert invariants(_union([torus, sphere])).genus == (1, 0)
+    # the torus takes the low vertex labels, the sphere the first triangle
+    # and every other one after it
+    labels = [7, 8, 9, 10] + list(range(7))
+    order = [0, 4, 1, 5, 2, 6, 3] + list(range(7, 18))
+    assert invariants(_union([sphere, torus], labels, order)).genus == (0, 1)
 
 
 def test_subdivide_preserves_topology():
