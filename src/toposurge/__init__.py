@@ -11,7 +11,6 @@ from .dynamics import (
     EquilibriumReport,
     SlowManifold,
     SystemParams,
-    classify_equilibrium,
     eigen,
     equilibria,
     jacobian,

@@ -86,6 +86,13 @@ def _int_list(text: str | None, name: str) -> tuple[int, ...]:
         raise ValueError(f"{name}: could not parse {text!r}") from None
 
 
+def _reject_unread(args, names, where: str) -> None:
+    """Raise for the first option in names that the command line set."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to {where}")
+
+
 def _emit_complex(m, out: str | None) -> None:
     doc = {"complex": complex_to_dict(m), "invariants": invariants_to_dict(invariants(m))}
     _emit(dumps(doc), out)
@@ -183,9 +190,7 @@ _SURGERY_UNUSED = {
 def cmd_surgery(args) -> int:
     kind = ("1-dimensional 0-surgery" if args.dim == 1
             else f"2-dimensional {args.type or 0}-surgery")
-    for name in _SURGERY_UNUSED[kind]:
-        if getattr(args, name) is not None:
-            raise ValueError(f"--{name.replace('_', '-')} does not apply to {kind}")
+    _reject_unread(args, _SURGERY_UNUSED[kind], kind)
     with open(args.input) as f:
         doc = json.load(f)
     if isinstance(doc, dict) and "kind" not in doc:
@@ -210,12 +215,22 @@ def cmd_surgery(args) -> int:
     return 0
 
 
+# build kind -> the size options it reads, in call order, each with the value
+# it takes when unset; a kind rejects the size options it does not read
+_BUILD_SIZES = {"circle": {"n": 6}, "two_circles": {"n": 6, "m": 6}, "sphere": {}, "torus": {},
+                "genus_g": {"g": 1}, "globe": {"rings": 3, "segments": 6}}
+_SIZE_OPTIONS = ("n", "m", "g", "rings", "segments")
+
+
 def cmd_build(args) -> int:
+    sizes = _BUILD_SIZES[args.kind]
+    _reject_unread(args, [o for o in _SIZE_OPTIONS if o not in sizes], f"--kind {args.kind}")
+    values = [unset if getattr(args, o) is None else getattr(args, o)
+              for o, unset in sizes.items()]
     if args.kind == "globe":
-        m = manifolds.globe(args.rings, args.segments)
+        m = manifolds.globe(*values)
     else:
-        sizes = {"circle": (args.n,), "two_circles": (args.n, args.m), "genus_g": (args.g,)}
-        m = manifolds.build_standard(args.kind, *sizes.get(args.kind, ()))
+        m = manifolds.build_standard(args.kind, *values)
     _emit_complex(m, args.out)
     return 0
 
@@ -347,16 +362,9 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_surgery)
 
     sp = sub.add_parser("build", help="emit a standard complex as JSON")
-    sp.add_argument(
-        "--kind",
-        choices=("circle", "two_circles", "sphere", "torus", "genus_g", "globe"),
-        required=True,
-    )
-    sp.add_argument("--n", type=int, default=6)
-    sp.add_argument("--m", type=int, default=6)
-    sp.add_argument("--g", type=int, default=1)
-    sp.add_argument("--rings", type=int, default=3)
-    sp.add_argument("--segments", type=int, default=6)
+    sp.add_argument("--kind", choices=tuple(_BUILD_SIZES), required=True)
+    for option in _SIZE_OPTIONS:  # None, "not given": see _BUILD_SIZES
+        sp.add_argument(f"--{option}", type=int)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_build)
 

@@ -231,17 +231,13 @@ def classify_eigenvalues(lams) -> str:
     return UNCLASSIFIED
 
 
-def classify_equilibrium(e: EigenData) -> str:
-    return classify_eigenvalues(e.eigenvalues)
-
-
 def equilibria(p: SystemParams) -> list[EquilibriumReport]:
     out = []
     for label, coords in steady_states(p).items():
         j = jacobian(coords, p)
         eig = eigen(j)
         out.append(
-            EquilibriumReport(label, coords, j, eig, classify_equilibrium(eig))
+            EquilibriumReport(label, coords, j, eig, classify_eigenvalues(eig.eigenvalues))
         )
     return out
 
@@ -289,15 +285,11 @@ class SlowManifold:
             return "repelling"
         return "outside"
 
-    @property
-    def axis_direction(self) -> Vec3:
+    def axis_frame(self) -> tuple[Vec3, Vec3, Vec3]:
+        """Orthonormal (u, e1, e2) with u along the S2->S3 axis."""
         d = tuple(b - a for a, b in zip(self.s2, self.s3))
         n = math.sqrt(sum(x * x for x in d))
-        return tuple(x / n for x in d)
-
-    def axis_frame(self) -> tuple[Vec3, Vec3, Vec3]:
-        """Orthonormal (u, e1, e2) with u along the axis."""
-        u = self.axis_direction
+        u = tuple(x / n for x in d)
         a = (1.0, 0.0, 0.0) if abs(u[0]) < 0.9 else (0.0, 1.0, 0.0)
         e1 = _cross(u, a)
         n1 = math.sqrt(sum(x * x for x in e1))

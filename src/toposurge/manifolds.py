@@ -59,10 +59,10 @@ class OneManifold:
         return frozenset(out)
 
 
-def circle(n: int, start: int = 0) -> OneManifold:
+def circle(n: int) -> OneManifold:
     if n < 2:
         raise InvalidManifold("a circle needs at least 2 arcs")
-    return OneManifold(cycles=(tuple(range(start, start + n)),))
+    return OneManifold(cycles=(tuple(range(n)),))
 
 
 def two_circles(n: int, m: int) -> OneManifold:

@@ -33,6 +33,7 @@ EPS_AXIS = 1e-12
 EPS_CYCLE = 1e-9
 MAX_NEWTON_ITERATIONS = 25
 MIN_CYCLE_SIZE = 1e-4         # smallest extent of a loop that counts as a cycle
+RETURN_T_MAX = 40.0           # longest integration one return-map evaluation may take
 
 TUBE_TURNS_TOROIDAL = 3.0     # meridional circulations to call a tube a tube
 TUBE_TURNS_SPHERICAL = 1.5    # at most one arc traversal (plus slack)
@@ -82,10 +83,12 @@ def poincare(
     p0 = np.asarray(plane_point, dtype=float)
     if not (np.isfinite(n).all() and np.isfinite(p0).all()):
         raise ValueError("plane point and normal must be finite")
-    norm = np.linalg.norm(n)
-    if norm == 0.0:
+    scale = np.abs(n).max()
+    if scale == 0.0:
         raise ValueError("plane normal must be nonzero")
-    n /= norm
+    # dividing by the largest component first keeps the norm finite and nonzero
+    n /= scale
+    n /= np.linalg.norm(n)
     if len(traj) < 2:
         return []
 
@@ -112,8 +115,6 @@ def poincare(
 
 @dataclass(frozen=True)
 class WindingProfile:
-    axis_start: Vec3
-    axis_end: Vec3
     t: np.ndarray
     theta: np.ndarray      # unwrapped azimuth around the axis
     radius: np.ndarray     # distance from the axis line
@@ -131,8 +132,6 @@ class WindingProfile:
         if len(self.theta) < 2:
             return 0.0
         d = np.diff(self.theta)
-        if len(d) == 0:
-            return 0.0
         return float(max((d > 0).mean(), (d < 0).mean()))
 
 
@@ -187,8 +186,6 @@ def winding_profile(traj: Trajectory, axis: SlowManifold) -> WindingProfile:
     ok = r >= EPS_AXIS
     theta = np.unwrap(np.arctan2(x2[ok], x1[ok]))
     return WindingProfile(
-        axis_start=axis.s2,
-        axis_end=axis.s3,
         t=np.asarray(ts)[ok],
         theta=theta,
         radius=r[ok],
@@ -336,7 +333,7 @@ class _ReturnMap:
     around the slow-manifold axis, in (height, radius) coordinates."""
 
     def __init__(self, p: SystemParams, axis: SlowManifold, rtol, atol,
-                 t_min: float = 0.1):
+                 t_min: float):
         self.p = p
         self.axis = axis
         u, e1, e2 = axis.axis_frame()
@@ -359,12 +356,12 @@ class _ReturnMap:
         d = np.asarray(y) - self.origin
         return np.array([d @ self.u, d @ self.w])
 
-    def first_return(self, q, t_max: float = 40.0):
+    def first_return(self, q):
         """Map (h, r) to its next same-side crossing; returns (q', T).
 
         The integration stops at the first accepted step that crosses the
-        half plane from g < 0 to g >= 0 at t >= t_min; t_max only bounds
-        the search."""
+        half plane from g < 0 to g >= 0 at t >= t_min; RETURN_T_MAX only
+        bounds the search."""
         y0 = self.embed(q)
         (o0, o1, o2), (n0, n1, n2), (w0, w1, w2) = (
             self.origin.tolist(), self.n.tolist(), self.w.tolist()
@@ -383,11 +380,11 @@ class _ReturnMap:
                         and (X - o0) * w0 + (Y - o1) * w1 + (Z - o2) * w2 > 0.0)
             return returned
 
-        traj = integrate(self.p, y0, t_max, rtol=self.rtol, atol=self.atol,
+        traj = integrate(self.p, y0, RETURN_T_MAX, rtol=self.rtol, atol=self.atol,
                          stop=crossed)
         if not returned:
             raise LimitCycleNotFound(
-                f"no return to the section within t = {t_max}", ()
+                f"no return to the section within t = {RETURN_T_MAX}", ()
             )
         t_c = _bisect_crossing(traj, len(traj) - 2, self.origin, self.n,
                                lambda v: v < 0.0, 1e-13)
@@ -444,11 +441,7 @@ def detect_limit_cycle(
         history.append(res)
         if res < eps_cycle:
             cycle = _package_cycle(p, rm, q, period, res, history, rtol, atol)
-            size = max(
-                max(s[i] for s in cycle.loop_states)
-                - min(s[i] for s in cycle.loop_states)
-                for i in range(3)
-            )
+            size = float(np.ptp(np.asarray(cycle.loop_states), axis=0).max())
             if size < MIN_CYCLE_SIZE:
                 raise LimitCycleNotFound(
                     "return iteration collapsed onto a steady point on the "

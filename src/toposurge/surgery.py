@@ -41,14 +41,6 @@ class GluingMap:
     rotation: int = 0
     orientation_flip: bool = False
 
-    def normalized(self, boundary_len: int) -> "GluingMap":
-        return GluingMap(self.rotation % boundary_len, self.orientation_flip)
-
-    def inverse(self, boundary_len: int) -> "GluingMap":
-        if self.orientation_flip:
-            return self  # a flip composed with itself is the identity
-        return GluingMap((-self.rotation) % boundary_len, False)
-
 
 @dataclass(frozen=True)
 class CurveSite:
@@ -277,11 +269,6 @@ def _hole_cycles(remaining: Sequence[Triangle]) -> dict[int, list[int]]:
     return {min(c): c for c in cycles}
 
 
-def _rotate_to(cyc: list[int], first: int) -> list[int]:
-    i = cyc.index(first)
-    return cyc[i:] + cyc[:i]
-
-
 def _subdivide_hole_edge(
     tris: list[Triangle], u: int, v: int, new_vertex: int
 ) -> None:
@@ -376,8 +363,7 @@ def attach_tube(
     elif len(cyc_b) < len(cyc_a):
         cyc_b, nv = _match_cycle_lengths(remaining, cyc_b, cyc_a, nv)
 
-    gm = g.normalized(len(cyc_a))
-    tube = _tube_triangles(cyc_a, cyc_b, gm)
+    tube = _tube_triangles(cyc_a, cyc_b, g)
     all_tris = remaining + tube
     result = compact_surface(nv, all_tris)
     band = tuple(range(len(remaining), len(all_tris)))

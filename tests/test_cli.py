@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -302,6 +303,19 @@ def test_poincare_cli(capsys):
     assert {c["direction"] for c in doc["crossings"]} == {1, -1}
 
 
+def test_poincare_normal_of_any_finite_scale_is_the_same_plane():
+    argv = ["poincare", "--A", "3", "--B", "3", "--C", "3", "--ic", "1,1.3,0.89",
+            "--t-end", "20", "--plane-point", "1,1,1", "--plane-normal"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow or underflow warning fails
+        code, want, err = run_in_process(argv + ["1,0,0"])
+        assert code == 0 and err == "" and json.loads(want)["count"] > 10
+        for normal in ("1e200,0,0", "1e-170,0,0", "5e-324,0,0"):
+            assert run_in_process(argv + [normal]) == (0, want, "")
+    code, out, err = run_in_process(argv + ["0,0,0"])
+    assert code == 2 and out == "" and err == "error: plane normal must be nonzero\n"
+
+
 def test_limit_cycle_failure_is_exit_1_with_report(capsys):
     code, out, err = run(
         ["limit-cycle", "--A", "3", "--B", "3", "--C", "3", "--ic", "1,1.3,0.89",
@@ -412,6 +426,15 @@ UNREAD_SURGERY_FLAGS = [
     (BAND_SURGERY, ["--rotation", "1"]),
     (BAND_SURGERY, ["--flip"]),
 ]
+# (a valid build, a size flag its kind does not read and so must reject)
+UNREAD_BUILD_FLAGS = [
+    (["build", "--kind", "circle"], ["--m", "3"]),
+    (["build", "--kind", "two_circles", "--n", "4"], ["--g", "2"]),
+    (["build", "--kind", "sphere"], ["--g", "3", "--rings", "9"]),
+    (["build", "--kind", "torus"], ["--n", "50"]),
+    (["build", "--kind", "genus_g", "--g", "2"], ["--rings", "3"]),
+    (["build", "--kind", "globe", "--rings", "4", "--segments", "5"], ["--n", "6"]),
+]
 
 
 @pytest.mark.parametrize("argv", [
@@ -436,6 +459,7 @@ UNREAD_SURGERY_FLAGS = [
     *[surgery + flag for surgery, flag in UNREAD_SURGERY_FLAGS],
     ["morse-frames", "--t", "1", "--format", "svg", "--out-dir", "{missing}", "--out", "{missing}"],
     ["morse-frames", "--t", "1", "--out-dir", "{missing}"],
+    *[build + flag for build, flag in UNREAD_BUILD_FLAGS],
 ])
 def test_bad_input_is_exit_2_with_one_line(tmp_path, argv):
     files = input_files(tmp_path)
@@ -453,6 +477,18 @@ def test_surgery_names_the_flag_it_does_not_read(tmp_path):
         assert code == 2 and err.startswith(f"error: {flag[0]} does not apply to ")
 
 
+def test_build_names_the_size_flag_its_kind_does_not_read():
+    for build, flag in UNREAD_BUILD_FLAGS:
+        assert run_in_process(build)[0] == 0
+        assert run_in_process(build + flag) == (
+            2, "", f"error: {flag[0]} does not apply to --kind {build[2]}\n")
+    # an unset size takes the value it took as the old default
+    for kind, sizes in [("circle", ["--n", "6"]), ("two_circles", ["--n", "6", "--m", "6"]),
+                        ("genus_g", ["--g", "1"]), ("globe", ["--rings", "3", "--segments", "6"])]:
+        assert run_in_process(["build", "--kind", kind]) == run_in_process(
+            ["build", "--kind", kind, *sizes])
+
+
 HOSTILE = ["nan", "inf", "-1", "0", "abc", "", "1,2"]
 OMIT, FLAG = "<omit>", "<flag>"
 PARAM = (["3", "2.9851", "0.5"], HOSTILE)
@@ -463,46 +499,72 @@ START = {**PARAMS,
 ORBIT = {**START, "--t-end": ([OMIT, "0.5", "5", "20"], HOSTILE)}
 OUT = {"--out": ([OMIT, "{out}"], ["{under_file}", "{missing}/x", "{file}", "", "."])}
 SIZE = ["-1", "0", "1", "abc", ""]
-SITES = ["0,1,2,3,4,5", "30,31,32,33,34,35", "2,3,4", "1,4", ",".join(map(str, range(6, 18)))]
 FILES = (["{surface}", "{curve}"], ["{list}", "{badfield}", "{csv}", "{missing}", "{file}/x"])
-# subcommand -> option -> (sane values, hostile values); a command line
-# draws sane values for all but at most two options
+BANDS = [",".join(map(str, range(6, 18))), ",".join(map(str, range(18, 30)))]
+
+
+def unread(*values):
+    """An option the shape does not read: omitted, or set when spoiled."""
+    return ([OMIT], list(values))
+
+
+# the shapes of a surgery on circle(6) or globe(): curve, disc pair, band
+SURGERIES = [
+    {"--input": (["{curve}"], [*FILES[1], "{surface}"]), "--dim": (["1"], ["2", "0", "abc"]),
+     "--site": (["1,4", "0,2", "2,5"], HOSTILE + ["1,2", "1,4,5"]),
+     "--flip": ([OMIT, FLAG], []), "--type": unread("0", "2"), "--rotation": unread("0", "abc"),
+     "--site-a": unread("0"), "--site-b": unread("30"), **OUT},
+    {"--input": (["{surface}"], [*FILES[1], "{curve}"]), "--dim": (["2"], ["1", "0", "abc"]),
+     "--type": ([OMIT, "0"], ["1", "2"]),
+     "--site-a": (["0,1,2,3,4,5", "0", "2"], HOSTILE + ["30", "2,3,4"]),
+     "--site-b": (["30,31,32,33,34,35", "30", "33"], HOSTILE + ["1", "2,3,4"]),
+     "--rotation": ([OMIT, "0", "1", "-1"], ["abc"]), "--flip": ([OMIT, FLAG], []),
+     "--site": unread("1,4", BANDS[0]), **OUT},
+    {"--input": (["{surface}"], [*FILES[1], "{curve}"]), "--dim": (["2"], ["1", "0", "abc"]),
+     "--type": (["1"], ["0", "2"]), "--site": (BANDS, HOSTILE + ["0,1,2,3,4,5"]),
+     "--site-a": unread("0"), "--site-b": unread("30"), "--rotation": unread("0", "1"),
+     "--flip": unread(FLAG), **OUT},
+]
+# build kind -> the sizes it reads; it is drawn with the others set only when spoiled
+SIZES = {"--n": ([OMIT, "2", "7"], SIZE), "--m": ([OMIT, "3"], SIZE),
+         "--g": ([OMIT, "0", "2"], SIZE), "--rings": ([OMIT, "3", "5"], SIZE),
+         "--segments": ([OMIT, "4", "6"], SIZE)}
+BUILD_READS = {"circle": ["--n"], "two_circles": ["--n", "--m"], "sphere": [], "torus": [],
+               "genus_g": ["--g"], "globe": ["--rings", "--segments"]}
+BUILDS = [{"--kind": ([kind], ["abc"]),
+           **{o: SIZES[o] if o in reads else unread(*SIZES[o][0][1:]) for o in SIZES}, **OUT}
+          for kind, reads in BUILD_READS.items()]
+# subcommand -> its shapes, each a map option -> (sane values, hostile
+# values); a command line draws one shape and sane values for all but at
+# most two of its options
 COMMANDS = {
-    "equilibria": {**PARAMS, "--format": ([OMIT, "json", "text"], ["abc"]), **OUT},
-    "simulate": {**ORBIT, "--resample": ([OMIT, "0", "2", "50"], SIZE), **OUT},
-    "classify-shell": {**ORBIT, **OUT},
-    "poincare": {**ORBIT, "--plane-point": (["1,1,1", "0,0,0"], HOSTILE),
-                 "--plane-normal": (["1,0,0", "0,1,1"], HOSTILE + ["0,0,0"]), **OUT},
-    "limit-cycle": {**START, "--explore-time": ([OMIT, "5", "20"], HOSTILE),
-                    "--eps-cycle": ([OMIT, "1e-9", "1e-6"], HOSTILE), **OUT},
-    "surgery": {"--input": FILES, "--dim": (["1", "2"], ["0", "abc"]),
-                "--type": ([OMIT, "0", "1"], ["2"]), "--site": ([OMIT, *SITES], HOSTILE),
-                "--site-a": ([OMIT, *SITES], HOSTILE), "--site-b": ([OMIT, *SITES], HOSTILE),
-                "--rotation": ([OMIT, "0", "1", "-1"], ["abc"]), "--flip": ([OMIT, FLAG], []),
-                **OUT},
-    "build": {"--kind": (["circle", "two_circles", "sphere", "torus", "genus_g", "globe"],
-                         ["abc"]),
-              "--n": ([OMIT, "2", "7"], SIZE), "--m": ([OMIT, "3"], SIZE),
-              "--g": ([OMIT, "0", "2"], SIZE), "--rings": ([OMIT, "3", "5"], SIZE),
-              "--segments": ([OMIT, "4", "6"], SIZE), **OUT},
-    "morse-frames": {"--t": (["-1", "1", "-1 0 1", "0.25"], HOSTILE + ["1 nan"]),
-                     "--box": ([OMIT, "2", "0.5"], HOSTILE),
-                     "--resolution": ([OMIT, "8", "16"], SIZE + ["7"]),
-                     "--format": ([OMIT, "json", "svg"], ["abc"]),
-                     "--out-dir": ([OMIT, "{out}"], ["{under_file}", "{file}"]), **OUT},
-    "solid-demo": {"--kind": (["1d0", "2d0", "2d1"], ["abc"]),
-                   "--layers": ([OMIT, "1", "5"], SIZE),
-                   "--direction": ([OMIT, "forward", "dual"], ["abc"]), **OUT},
-    "plot": {"--in": (["{csv}"], FILES[1] + ["{badcsv}", "{surface}"]),
-             "--projection": ([OMIT, "xy", "iso"], ["abc"]),
-             "--equilibria": ([OMIT, "3,3,3", "2.9851,3,3"], HOSTILE), **OUT},
+    "equilibria": [{**PARAMS, "--format": ([OMIT, "json", "text"], ["abc"]), **OUT}],
+    "simulate": [{**ORBIT, "--resample": ([OMIT, "0", "2", "50"], SIZE), **OUT}],
+    "classify-shell": [{**ORBIT, **OUT}],
+    "poincare": [{**ORBIT, "--plane-point": (["1,1,1", "0,0,0"], HOSTILE),
+                  "--plane-normal": (["1,0,0", "0,1,1"], HOSTILE + ["0,0,0"]), **OUT}],
+    "limit-cycle": [{**START, "--explore-time": ([OMIT, "5", "20"], HOSTILE),
+                     "--eps-cycle": ([OMIT, "1e-9", "1e-6"], HOSTILE), **OUT}],
+    "surgery": SURGERIES,
+    "build": BUILDS,
+    "morse-frames": [{"--t": (["-1", "1", "-1 0 1", "0.25"], HOSTILE + ["1 nan"]),
+                      "--box": ([OMIT, "2", "0.5"], HOSTILE),
+                      "--resolution": ([OMIT, "8", "16"], SIZE + ["7"]),
+                      "--format": ([OMIT, "json", "svg"], ["abc"]),
+                      "--out-dir": ([OMIT, "{out}"], ["{under_file}", "{file}"]), **OUT}],
+    "solid-demo": [{"--kind": (["1d0", "2d0", "2d1"], ["abc"]),
+                    "--layers": ([OMIT, "1", "5"], SIZE),
+                    "--direction": ([OMIT, "forward", "dual"], ["abc"]), **OUT}],
+    "plot": [{"--in": (["{csv}"], FILES[1] + ["{badcsv}", "{surface}"]),
+              "--projection": ([OMIT, "xy", "iso"], ["abc"]),
+              "--equilibria": ([OMIT, "3,3,3", "2.9851,3,3"], HOSTILE), **OUT}],
 }
 
 
 @st.composite
 def command_lines(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
-    options = COMMANDS[command]
+    options = draw(st.sampled_from(COMMANDS[command]))
     spoiled = draw(st.sets(st.sampled_from(sorted(options)), max_size=2))
     argv = [command]
     for option, (sane, hostile) in options.items():
