@@ -13,7 +13,7 @@ import sys
 from dataclasses import asdict
 
 from . import manifolds, morse, solid
-from .dynamics import SystemParams, equilibria, region, slow_manifold
+from .dynamics import REGION_B, SystemParams, equilibria, region, slow_manifold
 from .integrate import IntegrationError, Trajectory, integrate
 from .manifolds import invariants
 from .orbits import (
@@ -86,11 +86,17 @@ def _int_list(text: str | None, name: str) -> tuple[int, ...]:
         raise ValueError(f"{name}: could not parse {text!r}") from None
 
 
+def _given(args, *names) -> dict:
+    """The options in names that the command line set, by name.  Options
+    default to None, "not given", so that an unset one keeps the default of
+    the library call it is passed to."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _reject_unread(args, names, where: str) -> None:
     """Raise for the first option in names that the command line set."""
-    for name in names:
-        if getattr(args, name) is not None:
-            raise ValueError(f"--{name.replace('_', '-')} does not apply to {where}")
+    for name in _given(args, *names):
+        raise ValueError(f"--{name.replace('_', '-')} does not apply to {where}")
 
 
 def _emit_complex(m, out: str | None) -> None:
@@ -101,7 +107,7 @@ def _emit_complex(m, out: str | None) -> None:
 def _orbit(args) -> Trajectory:
     """The orbit that --A/--B/--C, --ic, --t-end and --rtol/--atol name."""
     return integrate(_params(args), _triple(args.ic, "--ic"), args.t_end,
-                     rtol=args.rtol, atol=args.atol)
+                     **_given(args, "rtol", "atol"))
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +167,9 @@ def cmd_poincare(args) -> int:
 def cmd_limit_cycle(args) -> int:
     p = _params(args)
     ic = _triple(args.ic, "--ic")
-    # unset tolerances keep the search's own defaults, not the integrator's
-    tols = {k: v for k, v in (("rtol", args.rtol), ("atol", args.atol)) if v is not None}
     try:
         lc = detect_limit_cycle(
-            p, ic, eps_cycle=args.eps_cycle, explore_time=args.explore_time, **tols
+            p, ic, **_given(args, "explore_time", "eps_cycle", "rtol", "atol")
         )
         doc, code = limit_cycle_to_dict(lc), 0
     except (LimitCycleNotFound, IntegrationError) as exc:
@@ -173,8 +177,8 @@ def cmd_limit_cycle(args) -> int:
         doc, code = cycle_failure_to_dict(str(exc), getattr(exc, "history", ())), FAILURE
     _emit(dumps(doc), args.out)
     # warned after the search, so that a rejected input leaves one stderr line
-    if region(p) != "region_b":
-        print(f"warning: parameters lie in {region(p)}, not region_b; "
+    if region(p) != REGION_B:
+        print(f"warning: parameters lie in {region(p)}, not {REGION_B}; "
               "an isolated cycle is not expected", file=sys.stderr)
     return code
 
@@ -242,7 +246,7 @@ def cmd_morse_frames(args) -> int:
         raise ValueError("--out does not apply to --format svg; use --out-dir")
     if args.format == "json" and args.out_dir is not None:
         raise ValueError("--out-dir does not apply to --format json; use --out")
-    frames = morse.morse_frames(args.t, box=args.box, resolution=args.resolution)
+    frames = morse.morse_frames(args.t, **_given(args, "box", "resolution"))
     if args.format == "json":
         doc = {"frames": [frame_to_dict(f) for f in frames]}
         _emit(dumps(doc), args.out)
@@ -254,9 +258,7 @@ def cmd_morse_frames(args) -> int:
 
 
 def cmd_solid_demo(args) -> int:
-    kind = {"1d0": "solid_1d_0", "2d0": "solid_2d_0", "2d1": "solid_2d_1"}.get(
-        args.kind, args.kind
-    )
+    kind = {"1d0": "solid_1d_0", "2d0": "solid_2d_0", "2d1": "solid_2d_1"}[args.kind]
     fam_in, fam_out = solid.solid_surgery(kind, args.layers, args.direction)
     rep_in = solid.cross_section_check(fam_in)
     rep_out = solid.cross_section_check(fam_out)
@@ -296,7 +298,6 @@ def _add_param_args(sp, with_ic=False, with_t_end=True):
         sp.add_argument("--ic", required=True, help="initial state X,Y,Z")
         if with_t_end:
             sp.add_argument("--t-end", dest="t_end", type=float, default=200.0)
-        # None defers to TOPOSURGE_RTOL / TOPOSURGE_ATOL, read by integrate
         sp.add_argument("--rtol", type=float)
         sp.add_argument("--atol", type=float)
 
@@ -342,8 +343,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("limit-cycle", help="locate the periodic orbit (region b)")
     _add_param_args(sp, with_ic=True, with_t_end=False)
-    sp.add_argument("--eps-cycle", dest="eps_cycle", type=float, default=1e-9)
-    sp.add_argument("--explore-time", dest="explore_time", type=float, default=300.0)
+    sp.add_argument("--eps-cycle", dest="eps_cycle", type=float)
+    sp.add_argument("--explore-time", dest="explore_time", type=float)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_limit_cycle)
 
@@ -370,8 +371,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("morse-frames", help="level sets of x^2 - y^2 = t")
     sp.add_argument("--t", type=float, nargs="+", required=True)
-    sp.add_argument("--box", type=float, default=2.0)
-    sp.add_argument("--resolution", type=int, default=64)
+    sp.add_argument("--box", type=float)
+    sp.add_argument("--resolution", type=int)
     sp.add_argument("--format", choices=("json", "svg"), default="json")
     sp.add_argument("--out")
     sp.add_argument("--out-dir", dest="out_dir")

@@ -177,7 +177,10 @@ def eigen(m: Mat3) -> EigenData:
             if not math.isfinite(x):
                 raise ValueError("matrix entries must be finite")
     p2, p1, p0 = _char_coeffs(m)
-    lams = _cubic_roots(p2, p1, p0)
+    try:
+        lams = _cubic_roots(p2, p1, p0)
+    except OverflowError:
+        raise ValueError("the characteristic polynomial overflows") from None
     vecs = tuple(_null_vector(m, lam) for lam in lams)
     res = tuple(_residual(m, lam, v) for lam, v in zip(lams, vecs))
     return EigenData(lams, vecs, res)
@@ -197,6 +200,8 @@ class EquilibriumReport:
 
 
 def steady_states(p: SystemParams) -> dict[str, Vec3]:
+    if p.A * p.B == 0.0:
+        raise ValueError("A * B underflows to 0, so S3 has no finite Z")
     root = math.sqrt(p.B / p.A)
     return {
         "S1": (0.0, 0.0, 0.0),
@@ -289,6 +294,8 @@ class SlowManifold:
         """Orthonormal (u, e1, e2) with u along the S2->S3 axis."""
         d = tuple(b - a for a, b in zip(self.s2, self.s3))
         n = math.sqrt(sum(x * x for x in d))
+        if not 0.0 < n < math.inf:
+            raise ValueError("the S2->S3 axis length is zero or overflows")
         u = tuple(x / n for x in d)
         a = (1.0, 0.0, 0.0) if abs(u[0]) < 0.9 else (0.0, 1.0, 0.0)
         e1 = _cross(u, a)

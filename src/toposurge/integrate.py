@@ -21,15 +21,13 @@ finiteness check catches.
 
 Resolution genuinely matters for this system - coarse tolerances visibly
 deform the attractor - so the defaults are strict (rtol 1e-9, atol 1e-12).
-They can be changed per call or through the TOPOSURGE_RTOL /
-TOPOSURGE_ATOL environment variables, which are read when an integration
-starts, never at import.
+They are set per call only: no environment variable or module state
+changes them.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
@@ -58,19 +56,6 @@ _A = (
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-
-
-def _env_tolerance(name: str, default: float) -> float:
-    text = os.environ.get(name)
-    if text is None:
-        return default
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"{name}={text!r} is not a number") from None
-    if not _TOL_MIN <= value <= _TOL_MAX:
-        raise ValueError(f"{name}={text!r} must lie in [1e-13, 1e-3]")
-    return value
 
 
 @dataclass(frozen=True)
@@ -104,8 +89,7 @@ class Trajectory:
         return _hermite(ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1], tq)
 
 
-def _initial_step(f0: Vec3, y0: Vec3, p: SystemParams, t_end: float,
-                  rtol: float, atol: float) -> float:
+def _initial_step(f0: Vec3, y0: Vec3, p: SystemParams, rtol: float, atol: float) -> float:
     sc = [atol + rtol * abs(y) for y in y0]
     try:
         d0 = math.sqrt(sum((y / s) ** 2 for y, s in zip(y0, sc)) / 3.0)
@@ -121,22 +105,20 @@ def _initial_step(f0: Vec3, y0: Vec3, p: SystemParams, t_end: float,
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, t_end)
+    return min(100.0 * h0, h1)
 
 
 def integrate(
     p: SystemParams,
     ic: Vec3,
     t_end: float,
-    rtol: float | None = None,
-    atol: float | None = None,
+    rtol: float = 1e-9,
+    atol: float = 1e-12,
     stop: Callable[[float, float, float, float], bool] | None = None,
 ) -> Trajectory:
     """Integrate from t = 0 to a finite t_end > 0, recording every accepted
-    step; any other t_end raises ValueError.
-
-    rtol and atol default to TOPOSURGE_RTOL / TOPOSURGE_ATOL if set, else
-    1e-9 / 1e-12; a malformed variable raises ValueError naming it.
+    step; any other t_end, or a tolerance outside [1e-13, 1e-3], raises
+    ValueError.
 
     stop(t, X, Y, Z), if given, is called after every accepted step; once
     it returns true the integration ends there, that step included.  The
@@ -144,10 +126,6 @@ def integrate(
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
-    if rtol is None:
-        rtol = _env_tolerance("TOPOSURGE_RTOL", 1e-9)
-    if atol is None:
-        atol = _env_tolerance("TOPOSURGE_ATOL", 1e-12)
     if not (_TOL_MIN <= rtol <= _TOL_MAX) or not (_TOL_MIN <= atol <= _TOL_MAX):
         raise ValueError("tolerances must lie in [1e-13, 1e-3]")
 
@@ -168,7 +146,7 @@ def integrate(
     t = 0.0
     f = rhs(y0, p)
     n_rhs = 1
-    h = _initial_step(f, y0, p, t_end, rtol, atol)
+    h = _initial_step(f, y0, p, rtol, atol)
     n_rhs += 1
 
     ts = [t]

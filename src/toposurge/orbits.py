@@ -153,10 +153,6 @@ def winding_profile(traj: Trajectory, axis: SlowManifold) -> WindingProfile:
     undefined) and counted.  Azimuth gaps of pi or more are closed by
     inserting dense-output midpoints, so the unwrap is trustworthy.
     """
-    seg = np.asarray(axis.s3) - np.asarray(axis.s2)
-    if np.linalg.norm(seg) <= 0.0:
-        raise ValueError("axis segment has zero length")
-
     ts = list(traj.t)
     states = [tuple(s) for s in traj.states]
     for _ in range(24):

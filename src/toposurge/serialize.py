@@ -19,7 +19,7 @@ import tempfile
 from typing import Union
 
 from .dynamics import EquilibriumReport, SlowManifold
-from .integrate import Trajectory
+from .integrate import Trajectory, resample
 from .manifolds import InvariantReport, OneManifold, Surface
 from .morse import LevelSetFrame
 from .orbits import LimitCycle, SectionCrossing, ShellClassification
@@ -234,9 +234,7 @@ def frame_to_dict(f: LevelSetFrame) -> dict:
 # trajectory CSV
 # ---------------------------------------------------------------------------
 
-def trajectory_csv(traj: Trajectory, resample_n: int = 0) -> str:
-    from .integrate import resample
-
+def trajectory_csv(traj: Trajectory, resample_n: int) -> str:
     if resample_n:
         ts, states = resample(traj, resample_n)
     else:

@@ -104,17 +104,14 @@ def test_bad_ic_is_usage_error(capsys):
     assert exc_info.value.code == 2
 
 
-@pytest.mark.parametrize("name, value", [("TOPOSURGE_RTOL", "abc"), ("TOPOSURGE_ATOL", "1")])
-def test_bad_tolerance_variable_fails_only_integration(monkeypatch, capsys, name, value):
-    monkeypatch.setenv(name, value)
-    code, _, _ = run(["equilibria", "--A", "3", "--B", "3", "--C", "3"], capsys)
-    assert code == 0
-    with pytest.raises(SystemExit) as exc_info:
-        main(["simulate", "--A", "3", "--B", "3", "--C", "3", "--ic", "1,1.3,0.89",
-              "--t-end", "1"])
-    assert exc_info.value.code == 2
-    err = capsys.readouterr().err
-    assert name in err and err.count("\n") == 1
+def test_tolerances_come_from_the_command_line_only(monkeypatch):
+    argv = ["simulate", *P3, "--ic", "1,1.3,0.89", "--t-end", "1"]
+    code, want, err = run_in_process(argv)
+    assert code == 0 and err == ""
+    for value in ("abc", "1", "1e-3"):
+        monkeypatch.setenv("TOPOSURGE_RTOL", value)
+        monkeypatch.setenv("TOPOSURGE_ATOL", value)
+        assert run_in_process(argv) == (0, want, "")
 
 
 def test_overflowing_start_is_exit_1_with_one_line(capsys):
@@ -460,6 +457,16 @@ UNREAD_BUILD_FLAGS = [
     ["morse-frames", "--t", "1", "--format", "svg", "--out-dir", "{missing}", "--out", "{missing}"],
     ["morse-frames", "--t", "1", "--out-dir", "{missing}"],
     *[build + flag for build, flag in UNREAD_BUILD_FLAGS],
+    # finite parameters whose steady states, spectra or S2->S3 axis overflow
+    ["equilibria", "--A", "1e-300", "--B", "3", "--C", "3"],
+    ["equilibria", "--A", "1e300", "--B", "3", "--C", "3"],
+    ["equilibria", "--A", "3", "--B", "1e300", "--C", "3"],
+    ["equilibria", "--A", "3", "--B", "3", "--C", "1e300"],
+    ["equilibria", "--A", "1e-300", "--B", "1e-300", "--C", "3"],
+    ["plot", "--in", "{csv}", "--equilibria", "1e300,3,3"],
+    ["classify-shell", "--A", "1e-300", "--B", "1", "--C", "1", "--ic", "1,1,1", "--t-end", "1"],
+    ["limit-cycle", "--A", "1e300", "--B", "1e300", "--C", "1e300", "--ic", "1,1,1",
+     "--explore-time", "5"],
 ])
 def test_bad_input_is_exit_2_with_one_line(tmp_path, argv):
     files = input_files(tmp_path)
@@ -491,7 +498,7 @@ def test_build_names_the_size_flag_its_kind_does_not_read():
 
 HOSTILE = ["nan", "inf", "-1", "0", "abc", "", "1,2"]
 OMIT, FLAG = "<omit>", "<flag>"
-PARAM = (["3", "2.9851", "0.5"], HOSTILE)
+PARAM = (["3", "2.9851", "0.5"], HOSTILE + ["1e-300", "1e300"])
 PARAMS = {"--A": PARAM, "--B": PARAM, "--C": PARAM}
 START = {**PARAMS,
          "--ic": (["1,1,1", "1,1,0.9", "1,1.3,0.89", "0.5,0.5,0.5"], HOSTILE + ["1e200,0,0"]),
@@ -544,7 +551,12 @@ COMMANDS = {
     "poincare": [{**ORBIT, "--plane-point": (["1,1,1", "0,0,0"], HOSTILE),
                   "--plane-normal": (["1,0,0", "0,1,1"], HOSTILE + ["0,0,0"]), **OUT}],
     "limit-cycle": [{**START, "--explore-time": ([OMIT, "5", "20"], HOSTILE),
-                     "--eps-cycle": ([OMIT, "1e-9", "1e-6"], HOSTILE), **OUT}],
+                     "--eps-cycle": ([OMIT, "1e-9", "1e-6"], HOSTILE), **OUT},
+                    # region b, explored long enough to wind: the search converges
+                    {**START, "--A": (["2.9851"], PARAM[1]), "--B": (["3"], PARAM[1]),
+                     "--C": (["3"], PARAM[1]),
+                     "--explore-time": ([OMIT, "60"], HOSTILE),
+                     "--eps-cycle": ([OMIT, "1e-6"], HOSTILE), **OUT}],
     "surgery": SURGERIES,
     "build": BUILDS,
     "morse-frames": [{"--t": (["-1", "1", "-1 0 1", "0.25"], HOSTILE + ["1 nan"]),

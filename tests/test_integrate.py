@@ -93,6 +93,12 @@ def test_time_grid_and_stats():
     assert traj.stats.n_rhs >= 6 * traj.stats.n_accepted
 
 
+def test_horizon_below_the_underflow_guard_is_one_step():
+    # the first step is clipped to t_end by the loop, after its underflow guard
+    traj = integrate(SystemParams(3, 3, 3), (1.0, 1.3, 0.89), 1e-15)
+    assert traj.t == (0.0, 1e-15) and len(traj.states) == 2
+
+
 def test_resample_uniform():
     p = SystemParams(3, 3, 3)
     traj = integrate(p, (1.0, 1.3, 0.89), 10.0)
