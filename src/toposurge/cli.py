@@ -151,7 +151,7 @@ def cmd_classify_shell(args) -> int:
     traj = _orbit(args)
     doc = classification_to_dict(classify_shell(traj))
     doc["params"] = asdict(traj.params)
-    doc["ic"] = list(traj.states[0])
+    doc["ic"] = traj.states[0].tolist()
     doc["t_end"] = args.t_end
     _emit(dumps(doc), args.out)
     return 0

@@ -5,6 +5,11 @@ Math. 6:19, 1980) with FSAL stage reuse, the PI step-size control of
 Hairer, Norsett & Wanner (Solving Ordinary Differential Equations I,
 sections II.4-II.5), and cubic Hermite dense output between accepted steps.
 
+A trajectory is stored by columns: each accepted step appends its time,
+its state and its FSAL derivative to three flat float64 buffers, 56 bytes
+a step, and the Trajectory exposes them as read-only numpy views, t of
+shape (n,) and states and derivs of shape (n, 3).
+
 The state is only 3-dimensional, so numpy overhead would dominate.  One
 step is straight-line code on local floats instead: the tableau, A, B, C
 and the math functions are bound to locals once per call, the vector field
@@ -28,9 +33,11 @@ changes them.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from array import array
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .dynamics import SystemParams, Vec3, rhs
 
@@ -43,6 +50,7 @@ class IntegrationError(RuntimeError):
 
 _TOL_MIN, _TOL_MAX = 1e-13, 1e-3
 _MAX_STEPS = 5_000_000  # accepted plus rejected steps in one integration
+_BUDGET_CHECK = 2 ** 16  # steps between two projections of the step budget
 
 # Dormand-Prince 5(4) tableau.  The last row of _A is also the 5th-order
 # solution's weights (FSAL: the last stage is f at the new state).
@@ -69,10 +77,16 @@ class IntegratorStats:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Every accepted step of one integration, the initial state first.
+
+    t is a float64 array of shape (n,), states and derivs are float64
+    arrays of shape (n, 3): X, Y, Z and the vector field there.  All three
+    are read-only views of the buffers the step loop filled."""
+
     params: SystemParams
-    t: tuple[float, ...]
-    states: tuple[Vec3, ...]
-    derivs: tuple[Vec3, ...]
+    t: np.ndarray
+    states: np.ndarray
+    derivs: np.ndarray
     stats: IntegratorStats
 
     def __len__(self) -> int:
@@ -80,13 +94,26 @@ class Trajectory:
 
     @property
     def t_end(self) -> float:
-        return self.t[-1]
+        return float(self.t[-1])
 
     def state_at(self, tq: float) -> Vec3:
         """Cubic Hermite interpolation at time tq within the sampled range."""
-        ts, ys, fs = self.t, self.states, self.derivs
-        i = max(0, min(bisect_right(ts, tq) - 1, len(ts) - 2))
-        return _hermite(ts[i], ts[i + 1], ys[i], ys[i + 1], fs[i], fs[i + 1], tq)
+        i = int(self.t.searchsorted(tq, side="right")) - 1
+        i = max(0, min(i, len(self.t) - 2))
+        return _hermite(*self.bracket(i), tq)
+
+    def bracket(self, i: int):
+        """t0, t1, y0, y1, f0, f1 of steps i and i + 1, as Python floats."""
+        t0, t1 = self.t[i:i + 2].tolist()
+        y0, y1 = self.states[i:i + 2].tolist()
+        f0, f1 = self.derivs[i:i + 2].tolist()
+        return t0, t1, y0, y1, f0, f1
+
+
+def _column(buf: array, *shape: int) -> np.ndarray:
+    view = np.frombuffer(buf, dtype=np.float64).reshape(shape)
+    view.flags.writeable = False
+    return view
 
 
 def _initial_step(f0: Vec3, y0: Vec3, p: SystemParams, rtol: float, atol: float) -> float:
@@ -120,6 +147,12 @@ def integrate(
     step; any other t_end, or a tolerance outside [1e-13, 1e-3], raises
     ValueError.
 
+    A run may take at most 5,000,000 steps, accepted plus rejected.  Every
+    65,536 steps the budget is projected from the average step so far: if
+    the steps taken, scaled by the model time left over the model time
+    done, exceed the steps left, IntegrationError("step budget exhausted")
+    is raised there instead of running on to the budget.
+
     stop(t, X, Y, Z), if given, is called after every accepted step; once
     it returns true the integration ends there, that step included.  The
     steps before it are the ones an integration without stop takes.
@@ -149,10 +182,9 @@ def integrate(
     h = _initial_step(f, y0, p, rtol, atol)
     n_rhs += 1
 
-    ts = [t]
-    states = [y0]
-    derivs = [f]
-    ts_append, states_append, derivs_append = ts.append, states.append, derivs.append
+    ts, states, derivs = array("d", (t,)), array("d", y0), array("d", f)
+    t_append, y_append, f_append = ts.append, states.append, derivs.append
+    next_check = _BUDGET_CHECK
     n_acc = 0
     n_rej = 0
     err_prev = 1e-4
@@ -162,8 +194,11 @@ def integrate(
     while t < t_end:
         if h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError("step size underflow", t)
-        if n_acc + n_rej > max_steps:
-            raise IntegrationError("step budget exhausted", t)
+        if n_acc + n_rej > next_check:
+            n = n_acc + n_rej
+            if n > max_steps or n * (t_end - t) > (max_steps - n) * t:
+                raise IntegrationError("step budget exhausted", t)
+            next_check = min(n + _BUDGET_CHECK, max_steps)
         if t + h > t_end:
             h = t_end - t
 
@@ -230,9 +265,13 @@ def integrate(
             t += h
             X, Y, Z = x, y, z
             k0x, k0y, k0z = k6x, k6y, k6z
-            ts_append(t)
-            states_append((X, Y, Z))
-            derivs_append((k0x, k0y, k0z))
+            t_append(t)
+            y_append(X)
+            y_append(Y)
+            y_append(Z)
+            f_append(k0x)
+            f_append(k0y)
+            f_append(k0z)
             n_acc += 1
             fac = 5.0 if err == 0.0 else min(
                 5.0, max(0.2, 0.9 * err ** -0.17 * err_prev ** 0.04)
@@ -247,9 +286,9 @@ def integrate(
 
     return Trajectory(
         params=p,
-        t=tuple(ts),
-        states=tuple(states),
-        derivs=tuple(derivs),
+        t=_column(ts, -1),
+        states=_column(states, -1, 3),
+        derivs=_column(derivs, -1, 3),
         stats=IntegratorStats(n_acc, n_rej, n_rhs, rtol, atol),
     )
 
@@ -275,6 +314,6 @@ def resample(traj: Trajectory, n: int) -> tuple[tuple[float, ...], tuple[Vec3, .
     """Uniform time grid with n points via dense output."""
     if n < 2:
         raise ValueError("need at least 2 resample points")
-    t0, t1 = traj.t[0], traj.t[-1]
+    t0, t1 = float(traj.t[0]), traj.t_end
     ts = tuple(t0 + (t1 - t0) * i / (n - 1) for i in range(n))
     return ts, tuple(traj.state_at(tq) for tq in ts)

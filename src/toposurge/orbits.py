@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import SlowManifold, SystemParams, Vec3, slow_manifold
-from .integrate import Trajectory, integrate
+from .integrate import Trajectory, _hermite, integrate
 
 EPS_STATIONARY = 1e-6
 EPS_AXIS = 1e-12
@@ -56,22 +56,24 @@ class SectionCrossing:
 
 
 def _bisect_crossing(traj: Trajectory, i: int, point, normal, on_lo_side,
-                     rel_tol: float) -> float:
-    """Time at which the orbit crosses the plane {(y - point) . normal = 0}
-    between accepted steps i and i + 1: bisection on the cubic Hermite
-    interpolant.  on_lo_side(g) says whether a signed distance g lies on
-    step i's side of the plane; the bracket is refined until it is at most
-    rel_tol * max(1, |t|) wide."""
-    t_lo, t_hi = traj.t[i], traj.t[i + 1]
+                     rel_tol: float) -> tuple[float, Vec3]:
+    """Time and state at which the orbit crosses the plane
+    {(y - point) . normal = 0} between accepted steps i and i + 1: bisection
+    on the cubic Hermite interpolant.  on_lo_side(g) says whether a signed
+    distance g lies on step i's side of the plane; the bracket is refined
+    until it is at most rel_tol * max(1, |t|) wide."""
+    bracket = traj.bracket(i)
+    t_lo, t_hi = bracket[:2]
     for _ in range(60):
         t_mid = 0.5 * (t_lo + t_hi)
-        if on_lo_side((np.asarray(traj.state_at(t_mid)) - point) @ normal):
+        if on_lo_side((np.asarray(_hermite(*bracket, t_mid)) - point) @ normal):
             t_lo = t_mid
         else:
             t_hi = t_mid
         if t_hi - t_lo <= rel_tol * max(1.0, abs(t_hi)):
             break
-    return 0.5 * (t_lo + t_hi)
+    t_c = 0.5 * (t_lo + t_hi)
+    return t_c, _hermite(*bracket, t_c)
 
 
 def poincare(
@@ -92,20 +94,13 @@ def poincare(
     if len(traj) < 2:
         return []
 
-    ys = np.asarray(traj.states)
-    g = (ys - p0) @ n
+    g = (traj.states - p0) @ n
     out: list[SectionCrossing] = []
     sign_change = np.nonzero(g[:-1] * g[1:] < 0.0)[0]
     for i in sign_change:
         lo_positive = g[i] > 0
-        t_c = _bisect_crossing(traj, i, p0, n, lambda v: (v > 0) == lo_positive, 1e-14)
-        out.append(
-            SectionCrossing(
-                t=t_c,
-                state=traj.state_at(t_c),
-                direction=1 if g[i] < 0 else -1,
-            )
-        )
+        t_c, y_c = _bisect_crossing(traj, i, p0, n, lambda v: (v > 0) == lo_positive, 1e-14)
+        out.append(SectionCrossing(t=t_c, state=y_c, direction=1 if g[i] < 0 else -1))
     return out
 
 
@@ -153,10 +148,9 @@ def winding_profile(traj: Trajectory, axis: SlowManifold) -> WindingProfile:
     undefined) and counted.  Azimuth gaps of pi or more are closed by
     inserting dense-output midpoints, so the unwrap is trustworthy.
     """
-    ts = list(traj.t)
-    states = [tuple(s) for s in traj.states]
+    ts, states = traj.t, traj.states
     for _ in range(24):
-        h, r, x1, x2 = _axis_coordinates(np.asarray(states), axis)
+        h, r, x1, x2 = _axis_coordinates(states, axis)
         ok = r >= EPS_AXIS
         theta_raw = np.arctan2(x2[ok], x1[ok])
         gaps = np.abs(np.diff(theta_raw))
@@ -165,24 +159,21 @@ def winding_profile(traj: Trajectory, axis: SlowManifold) -> WindingProfile:
         if len(bad) == 0:
             break
         ok_idx = np.nonzero(ok)[0]
-        inserts = []
-        for b in bad:
-            i0, i1 = ok_idx[b], ok_idx[b + 1]
-            if ts[i1] - ts[i0] <= 1e-12:
-                continue
-            inserts.append((i0, 0.5 * (ts[i0] + ts[i1])))
-        if not inserts:
+        i0, i1 = ok_idx[bad], ok_idx[bad + 1]
+        wide = ts[i1] - ts[i0] > 1e-12
+        if not wide.any():
             break
-        for i0, t_mid in reversed(inserts):
-            ts.insert(i0 + 1, t_mid)
-            states.insert(i0 + 1, traj.state_at(t_mid))
+        i0, i1 = i0[wide], i1[wide]
+        t_mid = 0.5 * (ts[i0] + ts[i1])
+        ts = np.insert(ts, i0 + 1, t_mid)
+        states = np.insert(states, i0 + 1, [traj.state_at(tq) for tq in t_mid.tolist()],
+                           axis=0)
 
-    arr = np.asarray(states)
-    h, r, x1, x2 = _axis_coordinates(arr, axis)
+    h, r, x1, x2 = _axis_coordinates(states, axis)
     ok = r >= EPS_AXIS
     theta = np.unwrap(np.arctan2(x2[ok], x1[ok]))
     return WindingProfile(
-        t=np.asarray(ts)[ok],
+        t=ts[ok],
         theta=theta,
         radius=r[ok],
         height=h[ok],
@@ -199,23 +190,23 @@ def section_sequence(profile: WindingProfile) -> tuple[np.ndarray, np.ndarray]:
     th = profile.theta
     if len(th) < 2:
         return np.empty(0), np.empty(0)
-    hs: list[float] = []
-    rs: list[float] = []
     two_pi = 2.0 * math.pi
-    for i in range(len(th) - 1):
-        a, b = th[i], th[i + 1]
-        if a == b:
-            continue
-        lo, hi = (a, b) if a < b else (b, a)
-        k = math.ceil(lo / two_pi)
-        while k * two_pi <= hi:
-            tgt = k * two_pi
-            s = (tgt - a) / (b - a)
-            if 0.0 <= s <= 1.0:
-                hs.append(profile.height[i] + s * (profile.height[i + 1] - profile.height[i]))
-                rs.append(profile.radius[i] + s * (profile.radius[i + 1] - profile.radius[i]))
-            k += 1
-    return np.asarray(hs), np.asarray(rs)
+    a, b = th[:-1], th[1:]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # candidate multiples k of 2 pi per step, from ceil(lo / 2 pi) to one
+    # past floor(hi / 2 pi) so that rounding cannot drop one; steps with
+    # a == b have none
+    k_lo = np.ceil(lo / two_pi)
+    count = np.where(lo < hi, np.floor(hi / two_pi) - k_lo + 2.0, 0.0).astype(np.intp)
+    i = np.repeat(np.arange(len(a)), count)
+    first = np.repeat(np.cumsum(count) - count, count)
+    tgt = (np.repeat(k_lo, count) + (np.arange(len(i)) - first)) * two_pi
+    s = (tgt - a[i]) / (b[i] - a[i])
+    hit = (tgt <= hi[i]) & (0.0 <= s) & (s <= 1.0)
+    i, s = i[hit], s[hit]
+    height, radius = profile.height, profile.radius
+    return (height[i] + s * (height[i + 1] - height[i]),
+            radius[i] + s * (radius[i + 1] - radius[i]))
 
 
 def tube_turns(hs: np.ndarray, rs: np.ndarray) -> float:
@@ -255,7 +246,7 @@ def classify_shell(traj: Trajectory) -> ShellClassification:
     if len(traj) < 8:
         return ShellClassification("indeterminate", {"samples": float(len(traj))})
 
-    ys = np.asarray(traj.states)
+    ys = traj.states
     y0 = ys[0]
     disp = np.linalg.norm(ys - y0, axis=1)
     max_disp = float(disp.max())
@@ -318,8 +309,8 @@ class LimitCycle:
     params: SystemParams
     anchor: Vec3
     period: float
-    loop_t: tuple[float, ...]
-    loop_states: tuple[Vec3, ...]
+    loop_t: np.ndarray        # (n,) float64, read-only
+    loop_states: np.ndarray   # (n, 3) float64, read-only
     residual: float
     history: tuple[float, ...]
 
@@ -382,9 +373,9 @@ class _ReturnMap:
             raise LimitCycleNotFound(
                 f"no return to the section within t = {RETURN_T_MAX}", ()
             )
-        t_c = _bisect_crossing(traj, len(traj) - 2, self.origin, self.n,
-                               lambda v: v < 0.0, 1e-13)
-        return self.project(traj.state_at(t_c)), t_c
+        t_c, y_c = _bisect_crossing(traj, len(traj) - 2, self.origin, self.n,
+                                    lambda v: v < 0.0, 1e-13)
+        return self.project(y_c), t_c
 
 
 def detect_limit_cycle(
@@ -437,7 +428,7 @@ def detect_limit_cycle(
         history.append(res)
         if res < eps_cycle:
             cycle = _package_cycle(p, rm, q, period, res, history, rtol, atol)
-            size = float(np.ptp(np.asarray(cycle.loop_states), axis=0).max())
+            size = float(np.ptp(cycle.loop_states, axis=0).max())
             if size < MIN_CYCLE_SIZE:
                 raise LimitCycleNotFound(
                     "return iteration collapsed onto a steady point on the "

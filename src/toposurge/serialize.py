@@ -165,7 +165,7 @@ def limit_cycle_to_dict(lc: LimitCycle) -> dict:
         "period": float(lc.period),
         "residual": float(lc.residual),
         "residual_history": [float(h) for h in lc.history],
-        "loop_points": [[float(x) for x in s] for s in lc.loop_states],
+        "loop_points": lc.loop_states.tolist(),
     }
 
 
@@ -238,7 +238,7 @@ def trajectory_csv(traj: Trajectory, resample_n: int) -> str:
     if resample_n:
         ts, states = resample(traj, resample_n)
     else:
-        ts, states = traj.t, traj.states
+        ts, states = traj.t.tolist(), traj.states.tolist()
     lines = ["t,X,Y,Z"]
     for t, s in zip(ts, states):
         lines.append(",".join((fmt(t), fmt(s[0]), fmt(s[1]), fmt(s[2]))))

@@ -124,6 +124,17 @@ def test_overflowing_start_is_exit_1_with_one_line(capsys):
     assert err.startswith("integration failed:") and err.count("\n") == 1
 
 
+def test_huge_horizon_is_exit_1_with_one_line(capsys):
+    code, out, err = run(
+        ["simulate", "--A", "2.9851", "--B", "3", "--C", "3", "--ic", "1,1,0.9",
+         "--t-end", "1e9"],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("integration failed: step budget exhausted")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("n", ["1", "-3"])
 def test_simulate_bad_resample_is_usage_error(capsys, n):
     with pytest.raises(SystemExit) as exc_info:

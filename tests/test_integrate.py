@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ def scipy_reference(p, ic, t_end):
 def test_steady_point_stays_put():
     p = SystemParams(3, 3, 3)
     traj = integrate(p, (1, 1, 1), 100.0)
-    assert all(s == (1.0, 1.0, 1.0) for s in traj.states)
+    assert traj.states.tolist() == [[1.0, 1.0, 1.0]] * len(traj)
 
 
 def test_against_scipy_reference():
@@ -96,7 +97,7 @@ def test_time_grid_and_stats():
 def test_horizon_below_the_underflow_guard_is_one_step():
     # the first step is clipped to t_end by the loop, after its underflow guard
     traj = integrate(SystemParams(3, 3, 3), (1.0, 1.3, 0.89), 1e-15)
-    assert traj.t == (0.0, 1e-15) and len(traj.states) == 2
+    assert traj.t.tolist() == [0.0, 1e-15] and len(traj.states) == 2
 
 
 def test_resample_uniform():
@@ -122,9 +123,37 @@ PINNED_ORBITS = (
 def test_step_kernel_is_pinned(p, ic, t_end, counts):
     traj = integrate(p, ic, t_end)
     # the inlined vector field is dynamics.rhs to the last bit
-    assert all(d == rhs(s, p) for s, d in zip(traj.states, traj.derivs))
+    assert all(tuple(d) == rhs(s, p)
+               for s, d in zip(traj.states.tolist(), traj.derivs.tolist()))
     stats = traj.stats
     assert (stats.n_accepted, stats.n_rejected, stats.n_rhs) == counts
+
+
+def test_columns_take_56_bytes_a_step_and_are_read_only():
+    p, ic, t_end, _ = PINNED_ORBITS[0]
+    tracemalloc.start()
+    try:
+        traj = integrate(p, ic, t_end)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = len(traj)
+    assert n == 22516
+    assert traj.t.shape == (n,) and traj.states.shape == traj.derivs.shape == (n, 3)
+    assert traj.t.nbytes + traj.states.nbytes + traj.derivs.nbytes == 56 * n
+    # the step loop builds no per-step objects that outlive the step
+    assert peak < 100 * n
+    for column in (traj.t, traj.states, traj.derivs):
+        with pytest.raises(ValueError):
+            column[0] = 0.0
+
+
+def test_huge_horizon_fails_fast_on_the_projected_budget():
+    # at the first check, 65,536 steps in, the run is near t = 1,460: its
+    # average step projects about 4.5e10 steps to t = 1e9, over the budget
+    with pytest.raises(IntegrationError, match="step budget exhausted") as exc_info:
+        integrate(SystemParams(2.9851, 3, 3), (1, 1, 0.9), 1e9)
+    assert exc_info.value.t < 1e4
 
 
 def test_precondition_errors():
@@ -170,13 +199,14 @@ def test_stop_ends_the_run_at_the_first_true_step():
     part = integrate(p, (1, 1, 0.9), 30.0, stop=past_ten)
     n = len(part)
     assert part.t[-2] < 10.0 <= part.t[-1]
-    assert part.t == full.t[:n] and part.states == full.states[:n]
-    assert seen == list(zip(part.t[1:], part.states[1:]))
+    assert part.t.tolist() == full.t[:n].tolist()
+    assert part.states.tolist() == full.states[:n].tolist()
+    assert seen == [(t, tuple(s)) for t, s in zip(part.t[1:].tolist(), part.states[1:].tolist())]
 
 
 def test_determinism():
     p = SystemParams(2.9851, 3, 3)
     a = integrate(p, (1, 1, 0.9), 30.0)
     b = integrate(p, (1, 1, 0.9), 30.0)
-    assert a.t == b.t
-    assert a.states == b.states
+    assert a.t.tolist() == b.t.tolist()
+    assert a.states.tolist() == b.states.tolist()

@@ -5,9 +5,12 @@ import pytest
 
 from toposurge import orbits
 from toposurge.dynamics import slow_manifold
-from toposurge.integrate import integrate
+from toposurge.integrate import Trajectory, integrate
 from toposurge.orbits import (
+    EPS_AXIS,
     LimitCycleNotFound,
+    WindingProfile,
+    _axis_coordinates,
     _ReturnMap,
     classify_shell,
     detect_limit_cycle,
@@ -94,6 +97,86 @@ def test_winding_azimuth_gaps_are_small(reference_orbits):
     assert np.abs(np.diff(prof.theta)).max() < math.pi
 
 
+def _winding_profile_by_list_insert(traj, axis):
+    """winding_profile as a scalar reference: each gap midpoint is put into
+    Python lists one at a time, last gap first."""
+    ts = traj.t.tolist()
+    states = [tuple(s) for s in traj.states.tolist()]
+    for _ in range(24):
+        h, r, x1, x2 = _axis_coordinates(np.asarray(states), axis)
+        ok = r >= EPS_AXIS
+        theta_raw = np.arctan2(x2[ok], x1[ok])
+        gaps = np.abs(np.diff(theta_raw))
+        gaps = np.minimum(gaps, 2.0 * math.pi - gaps)
+        bad = np.nonzero(gaps >= math.pi * 0.999)[0]
+        if len(bad) == 0:
+            break
+        ok_idx = np.nonzero(ok)[0]
+        inserts = []
+        for b in bad:
+            i0, i1 = ok_idx[b], ok_idx[b + 1]
+            if ts[i1] - ts[i0] <= 1e-12:
+                continue
+            inserts.append((i0, 0.5 * (ts[i0] + ts[i1])))
+        if not inserts:
+            break
+        for i0, t_mid in reversed(inserts):
+            ts.insert(i0 + 1, t_mid)
+            states.insert(i0 + 1, traj.state_at(t_mid))
+    h, r, x1, x2 = _axis_coordinates(np.asarray(states), axis)
+    ok = r >= EPS_AXIS
+    return WindingProfile(t=np.asarray(ts)[ok], theta=np.unwrap(np.arctan2(x2[ok], x1[ok])),
+                          radius=r[ok], height=h[ok], skipped=int((~ok).sum()))
+
+
+def test_gap_midpoints_match_the_list_insert_reference(reference_orbits):
+    # every 32nd step of a region-b orbit leaves azimuth gaps of pi or more
+    full = reference_orbits["b"][(1.0, 1.0, 0.9)]
+    sparse = Trajectory(full.params, full.t[::32], full.states[::32], full.derivs[::32],
+                        full.stats)
+    axis = slow_manifold(PARAMS_B)
+    prof = winding_profile(sparse, axis)
+    ref = _winding_profile_by_list_insert(sparse, axis)
+    assert len(prof.t) + prof.skipped - len(sparse) > 0
+    for name in ("t", "theta", "radius", "height"):
+        assert getattr(prof, name).tolist() == getattr(ref, name).tolist()
+    assert prof.skipped == ref.skipped
+
+
+def _section_sequence_loop(profile):
+    """section_sequence as a scalar reference: one Python pass per sample."""
+    th = profile.theta
+    if len(th) < 2:
+        return np.empty(0), np.empty(0)
+    hs, rs = [], []
+    two_pi = 2.0 * math.pi
+    for i in range(len(th) - 1):
+        a, b = th[i], th[i + 1]
+        if a == b:
+            continue
+        lo, hi = (a, b) if a < b else (b, a)
+        k = math.ceil(lo / two_pi)
+        while k * two_pi <= hi:
+            tgt = k * two_pi
+            s = (tgt - a) / (b - a)
+            if 0.0 <= s <= 1.0:
+                hs.append(profile.height[i] + s * (profile.height[i + 1] - profile.height[i]))
+                rs.append(profile.radius[i] + s * (profile.radius[i + 1] - profile.radius[i]))
+            k += 1
+    return np.asarray(hs), np.asarray(rs)
+
+
+def test_section_sequence_matches_the_scalar_loop(reference_orbits):
+    runs = [(PARAMS_A, tr) for tr in reference_orbits["a"].values()]
+    runs.append((PARAMS_A, reference_orbits["stationary"]))
+    runs += [(PARAMS_B, tr) for tr in reference_orbits["b"].values()]
+    for p, traj in runs:
+        prof = winding_profile(traj, slow_manifold(p))
+        hs, rs = section_sequence(prof)
+        ref_hs, ref_rs = _section_sequence_loop(prof)
+        assert hs.tolist() == ref_hs.tolist() and rs.tolist() == ref_rs.tolist()
+
+
 def test_tube_turns_separates_the_regimes(reference_orbits):
     sm_a, sm_b = slow_manifold(PARAMS_A), slow_manifold(PARAMS_B)
     sphere_tt = [
@@ -169,7 +252,7 @@ def test_first_return_stops_at_the_crossing_of_a_full_run(monkeypatch):
 
     # the first same-side crossing after t_min of the whole 40-unit run
     full = integrate(PARAMS_B, rm.embed(q), 40.0, rtol=1e-10, atol=1e-12)
-    assert full.t[:len(traj)] == traj.t
+    assert full.t[:len(traj)].tolist() == traj.t.tolist()
     d = np.asarray(full.states) - rm.origin
     g, side = d @ rm.n, d @ rm.w
     i = next(i for i in range(len(full) - 1)
