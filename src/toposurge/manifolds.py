@@ -202,7 +202,7 @@ def _is_single_link_cycle(opposite_edges: list[tuple[int, int]]) -> bool:
     return len(seen) == len(deg)
 
 
-def compact_surface(n_vertices: int, triangles: Iterable[Triangle]) -> Surface:
+def compact_surface(triangles: Iterable[Triangle]) -> Surface:
     """Renumber vertices to drop unused indices, then validate."""
     tris = [tuple(t) for t in triangles]
     used = sorted({v for t in tris for v in t})

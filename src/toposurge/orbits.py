@@ -322,7 +322,6 @@ class _ReturnMap:
     def __init__(self, p: SystemParams, axis: SlowManifold, rtol, atol,
                  t_min: float):
         self.p = p
-        self.axis = axis
         u, e1, e2 = axis.axis_frame()
         self.u = np.asarray(u)
         self.w = np.asarray(e1)       # the half-plane direction (theta0 = 0)

@@ -3,7 +3,10 @@
 1-dimensional 0-surgery removes two arcs from a curve and reconnects the
 four loose ends either straight (two circles from one) or crosswise (one
 circle).  2-dimensional 0-surgery swaps a pair of disc sites for a tube;
-2-dimensional 1-surgery swaps an annulus site for two cone caps.  Gluings
+2-dimensional 1-surgery swaps an annulus site for two cone caps.  Both are
+built on the boundary cycles that site validation returns: a hole's
+boundary is its site's cycle run the other way, so the discs' boundaries
+may have any lengths and the surface need not be orientable.  Gluings
 carry a rotation offset and an optional orientation reversal; the reversal
 is an extension beyond the rotations the source material uses (it produces
 non-orientable results and exists as a deliberate negative test surface).
@@ -28,9 +31,6 @@ from .manifolds import (
 
 class InvalidSite(ValueError):
     """Raised when a surgery site fails validation."""
-
-
-MAX_BOUNDARY_SUBDIVISIONS = 64
 
 
 @dataclass(frozen=True)
@@ -262,80 +262,34 @@ def validate_annulus(s: Surface, site: AnnulusSite) -> tuple[list[int], list[int
 # 2-dimensional surgeries
 # ---------------------------------------------------------------------------
 
-def _hole_cycles(remaining: Sequence[Triangle]) -> dict[int, list[int]]:
-    """Map 'first vertex' -> directed boundary cycle of the holes, following
-    the orientation of the remaining triangles."""
-    cycles = _subcomplex_boundary(remaining, _edge_triangles(remaining))
-    return {min(c): c for c in cycles}
-
-
-def _subdivide_hole_edge(
-    tris: list[Triangle], u: int, v: int, new_vertex: int
-) -> None:
-    """Split boundary edge (u, v) of the hole; exactly one triangle holds it."""
-    for i, t in enumerate(tris):
-        for x, y in _edges_of(t):
-            if _ukey(x, y) == _ukey(u, v):
-                a, b, c = t
-                # rewrite the triangle with the edge split at new_vertex
-                if (a, b) in ((u, v), (v, u)):
-                    tris[i] = (a, new_vertex, c)
-                    tris.append((new_vertex, b, c))
-                elif (b, c) in ((u, v), (v, u)):
-                    tris[i] = (a, b, new_vertex)
-                    tris.append((a, new_vertex, c))
-                else:
-                    tris[i] = (new_vertex, b, c)
-                    tris.append((a, b, new_vertex))
-                return
-    raise InvalidSite("boundary edge to subdivide not found")
-
-
-def _match_cycle_lengths(
-    tris: list[Triangle],
-    cyc_short: list[int],
-    cyc_long: list[int],
-    next_vertex: int,
-) -> tuple[list[int], int]:
-    """Subdivide edges of the shorter hole cycle until lengths match."""
-    needed = len(cyc_long) - len(cyc_short)
-    if needed > MAX_BOUNDARY_SUBDIVISIONS:
-        raise InvalidSite(
-            f"boundary length mismatch needs {needed} subdivisions "
-            f"(cap {MAX_BOUNDARY_SUBDIVISIONS})"
-        )
-    k = 0
-    while len(cyc_short) < len(cyc_long):
-        u = cyc_short[k % len(cyc_short)]
-        v = cyc_short[(k + 1) % len(cyc_short)]
-        _subdivide_hole_edge(tris, u, v, next_vertex)
-        cyc_short = cyc_short[: k % len(cyc_short) + 1] + [next_vertex] + cyc_short[k % len(cyc_short) + 1 :]
-        next_vertex += 1
-        k += 2  # spread the subdivisions around the cycle
-    return cyc_short, next_vertex
-
-
 def _tube_triangles(
     cycle_a: list[int], cycle_b: list[int], g: GluingMap
 ) -> list[Triangle]:
-    """Triangulated cylinder joining two equal-length directed hole cycles.
+    """Triangulated cylinder joining two disc boundary cycles of lengths n
+    and m, in n + m triangles.
 
-    Both cycles are directed by the remaining surface, so the tube traverses
-    cycle A reversed; with ``orientation_flip`` the B side is traversed the
-    same way as the surface, which breaks coherent orientability.
+    Both cycles are directed as their removed discs see them, so the
+    surface around each hole runs it the other way.  The tube runs A as
+    given and B backwards from the rotation offset; with
+    ``orientation_flip`` it runs B forwards, which breaks coherent
+    orientability.  The two sides are zipped (Fuchs, Kedem & Uselton
+    1977): after i steps along A and j along B, the next triangle steps
+    along A iff (i + 1) / n <= (j + 1) / m, so for n = m the steps
+    alternate.
     """
-    n = len(cycle_a)
-    assert len(cycle_b) == n
-    a = [cycle_a[(-i) % n] for i in range(n)]
-    if g.orientation_flip:
-        b = [cycle_b[(g.rotation - i) % n] for i in range(n)]
-    else:
-        b = [cycle_b[(g.rotation + i) % n] for i in range(n)]
+    n, m = len(cycle_a), len(cycle_b)
+    sign = 1 if g.orientation_flip else -1
+    a = cycle_a + cycle_a[:1]
+    b = [cycle_b[(sign * j - g.rotation) % m] for j in range(m + 1)]
     tris: list[Triangle] = []
-    for i in range(n):
-        j = (i + 1) % n
-        tris.append((a[i], a[j], b[i]))
-        tris.append((a[j], b[j], b[i]))
+    i = j = 0
+    for _ in range(n + m):
+        if (i + 1) * m <= (j + 1) * n:
+            tris.append((a[i], a[i + 1], b[j]))
+            i += 1
+        else:
+            tris.append((a[i], b[j + 1], b[j]))
+            j += 1
     return tris
 
 
@@ -344,30 +298,12 @@ def attach_tube(
 ) -> tuple[Surface, tuple[int, ...]]:
     """2-dimensional 0-surgery returning also the tube's triangle indices
     (valid in the returned surface; handy for the inverse surgery)."""
-    cyc_a_site, cyc_b_site = validate_disc_pair(s, site)
+    cyc_a, cyc_b = validate_disc_pair(s, site)
     removed = set(site.disc_a) | set(site.disc_b)
     remaining = [t for i, t in enumerate(s.triangles) if i not in removed]
-
-    holes = _hole_cycles(remaining)
-    # the hole cycles correspond to the disc boundary cycles (same vertex sets)
-    key_a = min(cyc_a_site)
-    key_b = min(cyc_b_site)
-    if key_a not in holes or key_b not in holes:
-        raise InvalidSite("disc boundaries do not match holes in the complement")
-    cyc_a = holes[key_a]
-    cyc_b = holes[key_b]
-
-    nv = s.n_vertices
-    if len(cyc_a) < len(cyc_b):
-        cyc_a, nv = _match_cycle_lengths(remaining, cyc_a, cyc_b, nv)
-    elif len(cyc_b) < len(cyc_a):
-        cyc_b, nv = _match_cycle_lengths(remaining, cyc_b, cyc_a, nv)
-
     tube = _tube_triangles(cyc_a, cyc_b, g)
-    all_tris = remaining + tube
-    result = compact_surface(nv, all_tris)
-    band = tuple(range(len(remaining), len(all_tris)))
-    return result, band
+    band = tuple(range(len(remaining), len(remaining) + len(tube)))
+    return compact_surface(remaining + tube), band
 
 
 def surgery_2d_0(s: Surface, site: DiscPairSite, g: GluingMap) -> Surface:
@@ -378,25 +314,17 @@ def surgery_2d_0(s: Surface, site: DiscPairSite, g: GluingMap) -> Surface:
 def surgery_2d_1(s: Surface, site: AnnulusSite, g: GluingMap) -> Surface:
     """Remove an annulus site and cap the two boundary circles with discs.
 
-    The gluing rotation is accepted for symmetry with the 0-surgery but a
-    rotated cone cap is the same complex, so it cannot change the result.
+    Each cap is a cone from a new apex over the boundary cycle, run against
+    the annulus's direction.  The gluing rotation is accepted for symmetry
+    with the 0-surgery but a rotated cone cap is the same complex, so it
+    cannot change the result.
     """
-    validate_annulus(s, site)
+    cycles = validate_annulus(s, site)
     removed = set(site.triangles)
-    remaining = [t for i, t in enumerate(s.triangles) if i not in removed]
-
-    holes = list(_hole_cycles(remaining).values())
-    if len(holes) != 2:
-        raise InvalidSite("removing the annulus did not leave two holes")
-    nv = s.n_vertices
-    tris = list(remaining)
-    for cyc in holes:
-        apex = nv
-        nv += 1
-        n = len(cyc)
-        for i in range(n):
-            tris.append((apex, cyc[(i + 1) % n], cyc[i]))
-    return compact_surface(nv, tris)
+    tris = [t for i, t in enumerate(s.triangles) if i not in removed]
+    for apex, c in enumerate(cycles, start=s.n_vertices):
+        tris.extend((apex, c[-i - 1], c[-i]) for i in range(len(c)))
+    return compact_surface(tris)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,17 @@ from toposurge.manifolds import (
     invariants,
     moebius_kantor_torus,
     subdivide,
+    tetra_sphere,
     two_circles,
 )
+from toposurge.manifolds import _edge_triangles
 from toposurge.surgery import (
     AnnulusSite,
     CurveSite,
     DiscPairSite,
     GluingMap,
     InvalidSite,
+    _subcomplex_boundary,
     all_disc_pairs,
     attach_tube,
     find_disc_pair,
@@ -152,7 +155,7 @@ def test_genus_increases_by_one():
         assert invariants(out).genus == (g + 1,)
 
 
-def test_mismatched_boundary_lengths_are_subdivided():
+def test_mismatched_boundary_lengths_are_zipped():
     s = subdivide(globe(3, 6))
     pair = None
     # a two-triangle disc (boundary length 4) far from a single triangle
@@ -179,6 +182,109 @@ def test_mismatched_boundary_lengths_are_subdivided():
     assert pair is not None
     rep = invariants(surgery_2d_0(s, pair, GluingMap(1)))
     assert rep == InvariantReport(1, 0, True, (1,))
+    # neither disc has an interior vertex, and the 4- and 3-cycles are
+    # zipped directly: no vertex is added and the tube has 4 + 3 triangles
+    t, band = attach_tube(s, pair, GluingMap(1))
+    assert t.n_vertices == s.n_vertices
+    assert len(band) == 4 + 3
+    assert invariants(surgery_2d_1(t, AnnulusSite(band), GluingMap())) == invariants(s)
+
+
+def test_boundaries_of_very_different_lengths_are_zipped():
+    s = globe(4, 80)
+    t, band = attach_tube(s, DiscPairSite(globe_north_cap(80), (639,)), GluingMap())
+    assert invariants(t) == InvariantReport(1, 0, True, (1,))
+    assert len(band) == 80 + 3
+
+
+def test_every_disc_pair_of_a_klein_bottle_is_glued():
+    k = surgery_2d_0(globe(3, 6), _polar_site(), GluingMap(orientation_flip=True))
+    pairs = all_disc_pairs(k)
+    assert len(pairs) == 120
+    for site in pairs:
+        t, band = attach_tube(k, site, GluingMap())
+        rep = invariants(t)
+        assert (rep.components, rep.euler_characteristic, rep.orientable) == (1, -2, False)
+        back = surgery_2d_1(t, AnnulusSite(band), GluingMap())
+        assert invariants(back) == invariants(k)
+
+
+# The earlier construction, kept as the reference for equal boundary
+# lengths on coherently oriented surfaces: it walked the boundary of the
+# whole complement again to find each hole's cycle, and glued a tube only
+# between cycles of one length.
+
+def _reference_hole_cycles(remaining):
+    cycles = _subcomplex_boundary(remaining, _edge_triangles(remaining))
+    return {min(c): c for c in cycles}
+
+
+def _reference_tube(cycle_a, cycle_b, g):
+    n = len(cycle_a)
+    a = [cycle_a[(-i) % n] for i in range(n)]
+    if g.orientation_flip:
+        b = [cycle_b[(g.rotation - i) % n] for i in range(n)]
+    else:
+        b = [cycle_b[(g.rotation + i) % n] for i in range(n)]
+    tris = []
+    for i in range(n):
+        j = (i + 1) % n
+        tris.append((a[i], a[j], b[i]))
+        tris.append((a[j], b[j], b[i]))
+    return tris
+
+
+def _compacted(tris):
+    used = sorted({v for t in tris for v in t})
+    remap = {v: i for i, v in enumerate(used)}
+    return tuple(tuple(remap[v] for v in t) for t in tris)
+
+
+def _reference_attach_tube(s, site, g):
+    """Triangles and band for a pair of single-triangle discs."""
+    removed = set(site.disc_a) | set(site.disc_b)
+    remaining = [t for i, t in enumerate(s.triangles) if i not in removed]
+    holes = _reference_hole_cycles(remaining)
+    cyc_a = holes[min(s.triangles[site.disc_a[0]])]
+    cyc_b = holes[min(s.triangles[site.disc_b[0]])]
+    tris = remaining + _reference_tube(cyc_a, cyc_b, g)
+    return _compacted(tris), tuple(range(len(remaining), len(tris)))
+
+
+def _reference_surgery_2d_1(s, site):
+    removed = set(site.triangles)
+    remaining = [t for i, t in enumerate(s.triangles) if i not in removed]
+    tris = list(remaining)
+    nv = s.n_vertices
+    for cyc in _reference_hole_cycles(remaining).values():
+        apex = nv
+        nv += 1
+        n = len(cyc)
+        for i in range(n):
+            tris.append((apex, cyc[(i + 1) % n], cyc[i]))
+    return _compacted(tris)
+
+
+@pytest.mark.parametrize("s", [globe(4, 6), subdivide(subdivide(tetra_sphere()))],
+                         ids=["globe_4_6", "tetra_subdivided_twice"])
+def test_equal_lengths_match_the_complement_walk_reference(s):
+    gluings = [GluingMap(k, flip) for k in range(4) for flip in (False, True)]
+    for site in all_disc_pairs(s):
+        for g in gluings:
+            t, band = attach_tube(s, site, g)
+            assert (t.triangles, band) == _reference_attach_tube(s, site, g)
+            cut = AnnulusSite(band)
+            out = surgery_2d_1(t, cut, GluingMap())
+            ref = _reference_surgery_2d_1(t, cut)
+            if not g.orientation_flip:
+                assert out.triangles == ref
+                continue
+            # a flipped tube is not coherent with the surface at B, so the
+            # reference's cap over B, oriented by the surface, runs against
+            # the one oriented by the annulus: the same unoriented complex,
+            # which fixes every invariant
+            assert sorted(map(sorted, out.triangles)) == sorted(map(sorted, ref))
+            assert out.triangles != ref
 
 
 def test_disc_pair_validation_errors():
