@@ -139,67 +139,59 @@ class Surface:
     that every vertex link is a single cycle, i.e. the complex really is a
     closed 2-manifold.  Triangle orientations are kept as given; coherence
     is a property computed by :func:`invariants`, not a requirement.
+
+    The edge check makes every link 2-regular: a link vertex w of v has one
+    link edge per triangle holding the edge {v, w}.  A 2-regular link is a
+    disjoint union of cycles, so only its connectivity is left to check.
+    That is the one-ring walk: cross edges {v, w} from triangle to triangle
+    around v; the link is one cycle iff the walk meets every triangle at v
+    before it is back at the first.
     """
 
     n_vertices: int
     triangles: tuple[Triangle, ...]
 
     def __post_init__(self):
-        if not self.triangles:
+        tris = self.triangles
+        if not tris:
             raise InvalidManifold("surface with no triangles")
-        used = set()
-        for t in self.triangles:
+        first: dict[int, int] = {}  # vertex -> index of its first triangle
+        count: dict[int, int] = {}  # vertex -> number of triangles holding it
+        for ti, t in enumerate(tris):
             a, b, c = t
             if len({a, b, c}) != 3:
                 raise InvalidManifold(f"degenerate triangle {t}")
             for v in t:
                 if not (0 <= v < self.n_vertices):
                     raise InvalidManifold(f"vertex {v} out of range in {t}")
-            used.update(t)
-        if len(used) != self.n_vertices:  # every vertex is in range, checked above
+                if v in count:
+                    count[v] += 1
+                else:
+                    first[v] = ti
+                    count[v] = 1
+        if len(count) != self.n_vertices:  # every vertex is in range, checked above
             raise InvalidManifold("unused vertex indices present")
 
-        bad = [e for e, ts in _edge_triangles(self.triangles).items() if len(ts) != 2]
+        inc = _edge_triangles(tris)
+        bad = [e for e, ts in inc.items() if len(ts) != 2]
         if bad:
             raise InvalidManifold(f"edges not shared by exactly 2 triangles: {bad[:4]}")
 
-        # vertex links must each be a single cycle
-        around: dict[int, list[tuple[int, int]]] = {v: [] for v in range(self.n_vertices)}
-        for t in self.triangles:
-            a, b, c = t
-            around[a].append((b, c))
-            around[b].append((c, a))
-            around[c].append((a, b))
-        for v, opp in around.items():
-            if not _is_single_link_cycle(opp):
+        for v in range(self.n_vertices):
+            start = ti = first[v]
+            a, b, _ = tris[start]
+            w = b if a == v else a
+            steps = 0
+            while True:
+                t0, t1 = inc[(v, w) if v < w else (w, v)]
+                ti = t1 if t0 == ti else t0
+                a, b, c = tris[ti]
+                w = a + b + c - v - w  # the vertex of ti that is neither v nor w
+                steps += 1
+                if ti == start:
+                    break
+            if steps != count[v]:
                 raise InvalidManifold(f"link of vertex {v} is not a single cycle")
-
-
-def _is_single_link_cycle(opposite_edges: list[tuple[int, int]]) -> bool:
-    # The edges opposite to v in its incident triangles must chain into one
-    # closed cycle through all of them (each endpoint seen exactly twice).
-    if not opposite_edges:
-        return False
-    deg: dict[int, int] = {}
-    adj: dict[int, list[int]] = {}
-    for a, b in opposite_edges:
-        deg[a] = deg.get(a, 0) + 1
-        deg[b] = deg.get(b, 0) + 1
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    if any(d != 2 for d in deg.values()):
-        return False
-    # connectivity of the link graph
-    start = opposite_edges[0][0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(deg)
 
 
 def compact_surface(triangles: Iterable[Triangle]) -> Surface:

@@ -127,18 +127,17 @@ def _rebuild_curve(adj: dict[int, list[tuple[int, int]]]) -> OneManifold:
     chains: list[tuple[int, ...]] = []
     visited_arcs: set[int] = set()
 
-    degree = {n: len(v) for n, v in adj.items()}
-    # walk open paths first (starting at degree-1 nodes), then leftover cycles
-    starts = sorted(n for n, d in degree.items() if d == 1)
-    for s in starts:
-        path = _walk(adj, s, visited_arcs)
-        if path:
-            chains.append(_canonical_chain(path))
-    for n in sorted(adj):
-        for arc, _ in adj[n]:
+    # walk open paths first (starting at degree-1 nodes), then leftover
+    # cycles; the output is canonical and sorted, so the walk order is free
+    for s, arcs in adj.items():
+        if len(arcs) == 1:
+            path = _walk(adj, s, visited_arcs)
+            if path:
+                chains.append(_canonical_chain(path))
+    for n, arcs in adj.items():
+        for arc, _ in arcs:
             if arc not in visited_arcs:
-                cyc = _walk(adj, n, visited_arcs)
-                cycles.append(_canonical_cycle(cyc))
+                cycles.append(_canonical_cycle(_walk(adj, n, visited_arcs)))
     cycles.sort()
     chains.sort()
     return OneManifold(tuple(cycles), tuple(chains))
@@ -148,27 +147,22 @@ def _walk(adj, start: int, visited_arcs: set[int]) -> list[int]:
     out: list[int] = []
     node = start
     while True:
-        step = None
-        for arc, other in sorted(adj[node]):
+        for arc, other in adj[node]:
             if arc not in visited_arcs:
-                step = (arc, other)
                 break
-        if step is None:
+        else:
             return out
-        visited_arcs.add(step[0])
-        out.append(step[0])
-        node = step[1]
+        visited_arcs.add(arc)
+        out.append(arc)
+        node = other
 
 
 def _canonical_cycle(cyc: list[int]) -> tuple[int, ...]:
-    best = None
-    n = len(cyc)
-    for seq in (cyc, cyc[::-1]):
-        for i in range(n):
-            cand = tuple(seq[i:] + seq[:i])
-            if best is None or cand < best:
-                best = cand
-    return best
+    # arcs are distinct, so the least rotation, either way round, starts at
+    # the least arc
+    i = cyc.index(min(cyc))
+    fwd = cyc[i:] + cyc[:i]
+    return tuple(min(fwd, fwd[:1] + fwd[:0:-1]))
 
 
 def _canonical_chain(ch: list[int]) -> tuple[int, ...]:
@@ -245,8 +239,10 @@ def validate_disc_pair(s: Surface, site: DiscPairSite) -> tuple[list[int], list[
     vb = {v for i in site.disc_b for v in s.triangles[i]}
     if va & vb:
         raise InvalidSite("discs share vertices")
-    for u, v in (e for t in s.triangles for e in _edges_of(t)):
-        if (u in va and v in vb) or (u in vb and v in va):
+    # an edge joins the discs iff some triangle has a vertex in each: the
+    # edge lies in a triangle, and a triangle's vertices are pairwise joined
+    for a, b, c in s.triangles:
+        if (a in va or b in va or c in va) and (a in vb or b in vb or c in vb):
             raise InvalidSite("discs are adjacent (an edge joins them)")
     return cyc_a, cyc_b
 

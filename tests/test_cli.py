@@ -394,6 +394,7 @@ def input_files(d: Path) -> dict[str, str]:
         "curve": json.dumps(complex_to_dict(circle(6))),
         "list": "[1, 2]",
         "badfield": '{"kind": "surface", "vertices": 4, "triangles": 5}',
+        "huge": json.dumps({**complex_to_dict(globe()), "vertices": 10**12}),
         "csv": (GOLDEN / "regiona_t50.csv").read_text(),
         "badcsv": "t,X,Y,Z\n0,1,1,1\n1,oops,1,1\n",
         "file": "not a directory\n",
@@ -478,6 +479,8 @@ UNREAD_BUILD_FLAGS = [
     ["classify-shell", "--A", "1e-300", "--B", "1", "--C", "1", "--ic", "1,1,1", "--t-end", "1"],
     ["limit-cycle", "--A", "1e300", "--B", "1e300", "--C", "1e300", "--ic", "1,1,1",
      "--explore-time", "5"],
+    # a vertex count nothing may size a structure by before it is checked
+    ["surgery", "--input", "{huge}", "--dim", "2", "--site-a", "0", "--site-b", "30"],
 ])
 def test_bad_input_is_exit_2_with_one_line(tmp_path, argv):
     files = input_files(tmp_path)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,7 @@ from toposurge.manifolds import (
     InvalidManifold,
     OneManifold,
     Surface,
+    _edge_triangles,
     build_standard,
     circle,
     globe,
@@ -179,13 +182,159 @@ def test_surface_validation_rejects_junk():
         Surface(5, tetra_sphere().triangles)  # unused vertex index
 
 
+def test_vertex_count_is_checked_before_anything_is_sized_by_it():
+    # a structure sized by n_vertices would not fit in memory
+    with pytest.raises(InvalidManifold, match="^unused vertex indices present$"):
+        Surface(10**12, tetra_sphere().triangles)
+
+
 def test_pinched_vertex_rejected():
     # two tetrahedra sharing a single vertex: every edge is fine but the
     # link of the shared vertex is two disjoint cycles
     a = ((0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2))
     b = ((0, 4, 5), (0, 5, 6), (0, 6, 4), (4, 6, 5))
-    with pytest.raises(InvalidManifold):
+    with pytest.raises(InvalidManifold, match="^link of vertex 0 is not a single cycle$"):
         Surface(7, a + b)
+
+
+def test_two_triangle_sphere_is_accepted():
+    # each edge lies in both triangles, and each link is a 2-cycle
+    s = Surface(3, ((0, 1, 2), (0, 2, 1)))
+    assert invariants(s).euler_characteristic == 2
+
+
+def _reference_verdict(n_vertices, triangles):
+    """The message of the InvalidManifold that validation by per-vertex
+    link tables raises, or None: every check in order, each link built
+    from the edges opposite its vertex, with its degrees and connectivity
+    checked separately."""
+    try:
+        if not triangles:
+            raise InvalidManifold("surface with no triangles")
+        used = set()
+        for t in triangles:
+            a, b, c = t
+            if len({a, b, c}) != 3:
+                raise InvalidManifold(f"degenerate triangle {t}")
+            for v in t:
+                if not (0 <= v < n_vertices):
+                    raise InvalidManifold(f"vertex {v} out of range in {t}")
+            used.update(t)
+        if len(used) != n_vertices:
+            raise InvalidManifold("unused vertex indices present")
+        bad = [e for e, ts in _edge_triangles(triangles).items() if len(ts) != 2]
+        if bad:
+            raise InvalidManifold(f"edges not shared by exactly 2 triangles: {bad[:4]}")
+        around = {v: [] for v in range(n_vertices)}
+        for a, b, c in triangles:
+            around[a].append((b, c))
+            around[b].append((c, a))
+            around[c].append((a, b))
+        for v, opp in around.items():
+            if not _is_single_link_cycle(opp):
+                raise InvalidManifold(f"link of vertex {v} is not a single cycle")
+    except InvalidManifold as exc:
+        return str(exc)
+    return None
+
+
+def _is_single_link_cycle(opposite_edges):
+    if not opposite_edges:
+        return False
+    deg, adj = {}, {}
+    for a, b in opposite_edges:
+        deg[a] = deg.get(a, 0) + 1
+        deg[b] = deg.get(b, 0) + 1
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    if any(d != 2 for d in deg.values()):
+        return False
+    start = opposite_edges[0][0]
+    seen, stack = {start}, [start]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(deg)
+
+
+def _identifications(s: Surface, rnd):
+    """s with each pair of vertices i < j made one (j becomes i, the labels
+    above j close up), its triangles in a shuffled order."""
+    for j in range(s.n_vertices):
+        for i in range(j):
+            label = [v - (v > j) for v in range(s.n_vertices)]
+            label[j] = i
+            tris = [tuple(label[v] for v in t) for t in s.triangles]
+            rnd.shuffle(tris)
+            yield s.n_vertices - 1, tuple(tris)
+
+
+def _glued_pairs(rnd):
+    """Two stock surfaces made one at one or two vertices, relabelled and
+    shuffled."""
+    for p in sorted(PARTS):
+        for q in sorted(PARTS):
+            for k in (1, 2):
+                sp, sq = PARTS[p][0], PARTS[q][0]
+                nv = sp.n_vertices + sq.n_vertices
+                merge = dict(zip(rnd.sample(range(sp.n_vertices, nv), k),
+                                 rnd.sample(range(sp.n_vertices), k)))
+                keep = [v for v in range(nv) if v not in merge]
+                rnd.shuffle(keep)
+                label = {v: i for i, v in enumerate(keep)}
+                label.update((a, label[b]) for a, b in merge.items())
+                tris = [tuple(label[v] for v in t) for t in sp.triangles] + [
+                    tuple(label[v + sp.n_vertices] for v in t) for t in sq.triangles]
+                rnd.shuffle(tris)
+                yield len(keep), tuple(tris)
+
+
+def _random_lists(rnd):
+    """Random triangle lists on at most 7 vertices: loose triangles, or
+    tetrahedra and two-triangle spheres on random vertices."""
+    pieces = (tetra_sphere().triangles, ((0, 1, 2), (0, 2, 1)))
+    for _ in range(3000):
+        if rnd.random() < 0.5:
+            n = rnd.randint(1, 7)
+            yield n, tuple(tuple(rnd.randrange(n) for _ in range(3))
+                           for _ in range(rnd.randint(0, 12)))
+            continue
+        n, tris = rnd.randint(4, 7), []
+        for _ in range(rnd.randint(1, 3)):
+            label = rnd.sample(range(n), 4)
+            tris += [tuple(label[v] for v in t) for t in rnd.choice(pieces)]
+        rnd.shuffle(tris)
+        yield n, tuple(tris)
+
+
+LINK_INPUTS = {
+    "tetra": lambda rnd: _identifications(tetra_sphere(), rnd),
+    "torus": lambda rnd: _identifications(moebius_kantor_torus(), rnd),
+    "globe_3_5": lambda rnd: _identifications(globe(3, 5), rnd),
+    "tetra_subdivided": lambda rnd: _identifications(subdivide(tetra_sphere()), rnd),
+    "glued_pairs": _glued_pairs,
+    "random_lists": _random_lists,
+}
+
+
+@pytest.mark.parametrize("family", sorted(LINK_INPUTS))
+def test_link_walk_matches_the_link_table_reference(family):
+    verdicts = []
+    for n, tris in LINK_INPUTS[family](random.Random(family)):
+        want = _reference_verdict(n, tris)
+        try:
+            Surface(n, tris)
+            got = None
+        except InvalidManifold as exc:
+            got = str(exc)
+        assert got == want, (n, tris)
+        verdicts.append(want)
+    if family in ("globe_3_5", "glued_pairs", "random_lists"):
+        # in the others two identified vertices are adjacent or share a
+        # neighbour, which fails an earlier check
+        assert any(v and v.startswith("link of vertex") for v in verdicts)
 
 
 @given(st.integers(min_value=2, max_value=40))
