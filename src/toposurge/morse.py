@@ -49,6 +49,9 @@ def morse_frames(
         raise ValueError("resolution must be >= 8")
     if not 0 < box < math.inf:
         raise ValueError("box must be positive and finite")
+    # |x^2 - y^2 - t| <= box^2 + |t|; interpolation subtracts two such values
+    if not all(math.isfinite(2.0 * (box * box + abs(t))) for t in t_values):
+        raise ValueError("box and t are too large: x^2 - y^2 - t overflows")
     return [_extract_frame(t, box, resolution) for t in t_values]
 
 

@@ -149,11 +149,13 @@ def winding_profile(traj: Trajectory, axis: SlowManifold) -> WindingProfile:
     inserting dense-output midpoints, so the unwrap is trustworthy.
     """
     ts, states = traj.t, traj.states
-    for _ in range(24):
+    for insertions in range(25):  # at most 24 rounds of midpoints
         h, r, x1, x2 = _axis_coordinates(states, axis)
         ok = r >= EPS_AXIS
-        theta_raw = np.arctan2(x2[ok], x1[ok])
-        gaps = np.abs(np.diff(theta_raw))
+        theta = np.arctan2(x2[ok], x1[ok])
+        if insertions == 24:
+            break
+        gaps = np.abs(np.diff(theta))
         gaps = np.minimum(gaps, 2.0 * math.pi - gaps)  # wrapped gap size
         bad = np.nonzero(gaps >= math.pi * 0.999)[0]
         if len(bad) == 0:
@@ -169,12 +171,9 @@ def winding_profile(traj: Trajectory, axis: SlowManifold) -> WindingProfile:
         states = np.insert(states, i0 + 1, [traj.state_at(tq) for tq in t_mid.tolist()],
                            axis=0)
 
-    h, r, x1, x2 = _axis_coordinates(states, axis)
-    ok = r >= EPS_AXIS
-    theta = np.unwrap(np.arctan2(x2[ok], x1[ok]))
     return WindingProfile(
         t=ts[ok],
-        theta=theta,
+        theta=np.unwrap(theta),
         radius=r[ok],
         height=h[ok],
         skipped=int((~ok).sum()),

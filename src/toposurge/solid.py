@@ -5,7 +5,11 @@ spheres of a ball, tori of a solid torus) plus the degenerate central
 object, which gets its own limit rule: drilling a ball turns its centre
 point into a circle, splitting a ball turns it into two points, and the
 dual operations collapse those back to a point.  Layers are combinatorial
-manifolds; radii are bookkeeping, not geometry.
+manifolds; radii are bookkeeping, not geometry.  Every layer is the same
+complex, so one surgery serves every radius.  The limit and the meridional
+sections are read off the invariants of the layer that surgery built: a
+circle or sphere shrinks to a point and a torus to its core circle, and a
+section has one circle per component plus one per handle.
 """
 
 from __future__ import annotations
@@ -80,43 +84,78 @@ def classify_layer(m: Union[OneManifold, Surface]) -> str:
     return "other"
 
 
+def _shape(m: Union[OneManifold, Surface]) -> tuple[int, int, bool]:
+    """(components, handles, orientable); a 1-manifold has no handles."""
+    rep = invariants(m)
+    return rep.components, sum(rep.genus or ()), rep.orientable
+
+
+def _core(m: Union[OneManifold, Surface]) -> str:
+    """What the solid filled by layer m shrinks to: a circle or sphere
+    bounds a disc or ball, which shrinks to a point, and a torus bounds a
+    solid torus, which shrinks to its core circle."""
+    components, handles, _ = _shape(m)
+    return {(1, 0): "point", (2, 0): "two_points", (1, 1): "circle"}[components, handles]
+
+
 # ---------------------------------------------------------------------------
-# canonical per-layer surgeries
+# one surgery per family: (input layer, output layer)
 # ---------------------------------------------------------------------------
 
-def _layer_circle() -> OneManifold:
-    return circle(8)
+def _cut_circle() -> tuple[OneManifold, OneManifold]:
+    c = circle(8)
+    return c, surgery_1d_0(c, CurveSite((0, 4)), GluingMap())
 
-def _cut_circle(m: OneManifold) -> OneManifold:
-    return surgery_1d_0(m, CurveSite((0, 4)), GluingMap())
 
-def _layer_two_circles() -> OneManifold:
-    return two_circles(4, 4)
+def _join_two_circles() -> tuple[OneManifold, OneManifold]:
+    cs = two_circles(4, 4)
+    return cs, surgery_1d_0(cs, CurveSite((1, 5)), GluingMap())
 
-def _join_two_circles(m: OneManifold) -> OneManifold:
-    return surgery_1d_0(m, CurveSite((1, 5)), GluingMap())
 
-def _layer_sphere() -> Surface:
-    return globe(_GLOBE_RINGS, _GLOBE_SEG)
-
-def _polar_site() -> DiscPairSite:
-    return DiscPairSite(
+def _drill_sphere() -> tuple[Surface, Surface, tuple[int, ...]]:
+    """(sphere, the torus drilled along its polar axis, the tube's band)."""
+    s = globe(_GLOBE_RINGS, _GLOBE_SEG)
+    polar = DiscPairSite(
         globe_north_cap(_GLOBE_SEG), globe_south_cap(_GLOBE_RINGS, _GLOBE_SEG)
     )
+    return (s, *attach_tube(s, polar, GluingMap()))
 
-def _drill_sphere(s: Surface) -> tuple[Surface, tuple[int, ...]]:
-    return attach_tube(s, _polar_site(), GluingMap())
 
-def _split_sphere(s: Surface) -> Surface:
-    return surgery_2d_1(s, AnnulusSite(globe_band(1, _GLOBE_SEG)), GluingMap())
+def _fill_drilled_sphere() -> tuple[Surface, Surface]:
+    _, t, band = _drill_sphere()
+    return t, surgery_2d_1(t, AnnulusSite(band), GluingMap())
 
-def _join_two_spheres(s: Surface) -> Surface:
-    return surgery_2d_0(s, find_disc_pair(s), GluingMap())
+
+def _split_sphere() -> tuple[Surface, Surface]:
+    s = globe(_GLOBE_RINGS, _GLOBE_SEG)
+    return s, surgery_2d_1(s, AnnulusSite(globe_band(1, _GLOBE_SEG)), GluingMap())
+
+
+def _join_two_spheres() -> tuple[Surface, Surface]:
+    _, ss = _split_sphere()
+    return ss, surgery_2d_0(ss, find_disc_pair(ss), GluingMap())
+
+
+_SURGERY = {
+    ("solid_1d_0", "forward"): _cut_circle,
+    ("solid_1d_0", "dual"): _join_two_circles,
+    ("solid_2d_0", "forward"): lambda: _drill_sphere()[:2],
+    ("solid_2d_0", "dual"): _fill_drilled_sphere,
+    ("solid_2d_1", "forward"): _split_sphere,
+    ("solid_2d_1", "dual"): _join_two_spheres,
+}
 
 
 # ---------------------------------------------------------------------------
 # family construction
 # ---------------------------------------------------------------------------
+
+def _family(kind: str, role: str, direction: str, radii: list[float],
+            m: Union[OneManifold, Surface]) -> SolidFamily:
+    layer_type = classify_layer(m)
+    layers = tuple(Layer(r, m, layer_type) for r in radii)
+    return SolidFamily(kind, role, direction, layers, _core(m))
+
 
 def solid_surgery(
     kind: str, n_layers: int, direction: str = "forward"
@@ -124,7 +163,8 @@ def solid_surgery(
     """Build the canonical layered family and apply the surgery layerwise.
 
     Returns (input family, output family).  Radii follow the uniform
-    schedule i/n; the outermost layer always has radius 1.
+    schedule i/n; the outermost layer always has radius 1.  The surgery
+    runs once: its input and output are the layers at every radius.
     """
     if kind not in KINDS:
         raise ValueError(f"unsupported kind {kind!r}")
@@ -134,75 +174,16 @@ def solid_surgery(
         raise ValueError("n_layers must be >= 1")
 
     radii = [(i + 1) / n_layers for i in range(n_layers)]
-
-    if kind == "solid_1d_0":
-        if direction == "forward":
-            ins = [_layer_circle() for _ in radii]
-            outs = [_cut_circle(m) for m in ins]
-            lim_in, lim_out = "point", "two_points"
-        else:
-            ins = [_layer_two_circles() for _ in radii]
-            outs = [_join_two_circles(m) for m in ins]
-            lim_in, lim_out = "two_points", "point"
-    elif kind == "solid_2d_0":
-        if direction == "forward":
-            ins = [_layer_sphere() for _ in radii]
-            outs = [_drill_sphere(m)[0] for m in ins]
-            lim_in, lim_out = "point", "circle"
-        else:
-            pairs = [_drill_sphere(_layer_sphere()) for _ in radii]
-            ins = [t for t, _ in pairs]
-            outs = [
-                surgery_2d_1(t, AnnulusSite(band), GluingMap())
-                for t, band in pairs
-            ]
-            lim_in, lim_out = "circle", "point"
-    else:  # solid_2d_1
-        if direction == "forward":
-            ins = [_layer_sphere() for _ in radii]
-            outs = [_split_sphere(m) for m in ins]
-            lim_in, lim_out = "point", "two_points"
-        else:
-            ins = [_split_sphere(_layer_sphere()) for _ in radii]
-            outs = [_join_two_spheres(m) for m in ins]
-            lim_in, lim_out = "two_points", "point"
-
-    fam_in = SolidFamily(
-        kind,
-        "input",
-        direction,
-        tuple(Layer(r, m, classify_layer(m)) for r, m in zip(radii, ins)),
-        lim_in,
+    m_in, m_out = _SURGERY[kind, direction]()
+    return (
+        _family(kind, "input", direction, radii, m_in),
+        _family(kind, "output", direction, radii, m_out),
     )
-    fam_out = SolidFamily(
-        kind,
-        "output",
-        direction,
-        tuple(Layer(r, m, classify_layer(m)) for r, m in zip(radii, outs)),
-        lim_out,
-    )
-    return fam_in, fam_out
 
 
 # ---------------------------------------------------------------------------
 # meridional cross-sections
 # ---------------------------------------------------------------------------
-
-_SECTION_OF_LAYER = {
-    # layer type -> number of section circles
-    "sphere": 1,
-    "torus": 2,
-    "two_spheres": 2,
-    "circle": 1,
-    "two_circles": 2,
-}
-
-_SECTION_OF_LIMIT = {
-    "point": "point",
-    "circle": "two_points",
-    "two_points": "two_points",
-}
-
 
 @dataclass(frozen=True)
 class SectionEntry:
@@ -226,12 +207,20 @@ class SectionReport:
         return self.limit_match and all(e.match for e in self.entries)
 
 
-def _reference_stage(role: str, direction: str) -> tuple[str, str]:
-    """Layer type and limit of the solid 1-dimensional family at a stage."""
-    split_stage = (role == "output") == (direction == "forward")
-    if split_stage:
-        return "two_circles", "two_points"
-    return "circle", "point"
+def _section_circles(layer: Layer) -> int:
+    """Circles in a meridional section of the layer: one per component plus
+    one per handle.  The rule covers orientable layers whose section has at
+    most two circles."""
+    components, handles, orientable = _shape(layer.manifold)
+    if not orientable or components + handles > 2:
+        raise ValueError(f"layer type {layer.layer_type!r} has no section rule")
+    return components + handles
+
+
+def _limit_section(limit: str) -> str:
+    """A meridional plane meets a centre point in a point, and a centre
+    circle or two centre points in two points."""
+    return "point" if limit == "point" else "two_points"
 
 
 def cross_section_check(f: SolidFamily) -> SectionReport:
@@ -241,20 +230,19 @@ def cross_section_check(f: SolidFamily) -> SectionReport:
     point -> point, circle -> two points."""
     if f.kind not in KINDS:
         raise ValueError(f"unsupported kind {f.kind!r}")
-    ref_layer, ref_limit = _reference_stage(f.role, f.direction)
-    expected = _SECTION_OF_LAYER[ref_layer]
+    ref_in, ref_out = solid_surgery("solid_1d_0", 1, f.direction)
+    ref = ref_out if f.role == "output" else ref_in
+    expected = _section_circles(ref.layers[0])
 
     entries = []
     for layer in f.layers:
-        if layer.layer_type not in _SECTION_OF_LAYER:
-            raise ValueError(f"layer type {layer.layer_type!r} has no section rule")
-        got = _SECTION_OF_LAYER[layer.layer_type]
+        got = _section_circles(layer)
         entries.append(
             SectionEntry(layer.radius, layer.layer_type, got, expected, got == expected)
         )
 
-    limit_section = _SECTION_OF_LIMIT[f.limit]
-    expected_limit = _SECTION_OF_LIMIT[ref_limit]
+    limit_section = _limit_section(f.limit)
+    expected_limit = _limit_section(ref.limit)
     return SectionReport(
         kind=f.kind,
         entries=tuple(entries),

@@ -330,19 +330,20 @@ def surgery_2d_1(s: Surface, site: AnnulusSite, g: GluingMap) -> Surface:
 def _disc_pairs(s: Surface) -> Iterator[DiscPairSite]:
     """Pairs of single-triangle discs that are vertex-disjoint and
     non-adjacent, lazily, in a deterministic scan order: O(T^2)."""
-    vsets = [set(t) for t in s.triangles]
-    neighbours: dict[int, set[int]] = {v: set() for v in range(s.n_vertices)}
-    for t in s.triangles:
+    tris = s.triangles
+    # each vertex with its neighbours; their union over triangle i is the
+    # set triangle j must avoid.  It is rebuilt per row: stored per triangle
+    # it would raise peak memory.
+    closed: dict[int, set[int]] = {v: {v} for v in range(s.n_vertices)}
+    for t in tris:
         for u, v in _edges_of(t):
-            neighbours[u].add(v)
-            neighbours[v].add(u)
-    for i in range(len(s.triangles)):
-        for j in range(i + 1, len(s.triangles)):
-            if vsets[i] & vsets[j]:
-                continue
-            if any(neighbours[x] & vsets[j] for x in vsets[i]):
-                continue
-            yield DiscPairSite((i,), (j,))
+            closed[u].add(v)
+            closed[v].add(u)
+    for i, (a, b, c) in enumerate(tris):
+        near = closed[a] | closed[b] | closed[c]
+        for j in range(i + 1, len(tris)):
+            if near.isdisjoint(tris[j]):
+                yield DiscPairSite((i,), (j,))
 
 
 def find_disc_pair(s: Surface) -> DiscPairSite:

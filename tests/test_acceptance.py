@@ -240,7 +240,7 @@ def test_criterion_9_positive_octant(announce):
         for _ in range(20):
             ic = tuple(rng.uniform(0.1, 2.0) for _ in range(3))
             traj = integrate(params, ic, 1000.0)
-            worst = min(worst, min(min(s) for s in traj.states))
+            worst = min(worst, float(traj.states.min()))
     ok = worst > -1e-6
     announce(9, ok, f"20 random positive starts per regime stay positive to t=1000 "
                     f"(min coordinate {worst:.1e} > -1e-6)")

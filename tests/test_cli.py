@@ -285,6 +285,16 @@ def test_solid_demo_limits(capsys):
     assert json.loads(out)["limit"] == "two_points"
 
 
+@pytest.mark.parametrize("kind", ["1d0", "2d0", "2d1"])
+@pytest.mark.parametrize("direction", ["forward", "dual"])
+def test_golden_solid_demo(kind, direction, capsys):
+    code, out, _ = run(
+        ["solid-demo", "--kind", kind, "--direction", direction, "--layers", "2"], capsys
+    )
+    assert code == 0
+    assert out == (GOLDEN / f"solid_{kind}_{direction}_layers2.json").read_text()
+
+
 # ---------------------------------------------------------------------------
 # classify / poincare / limit-cycle
 # ---------------------------------------------------------------------------
@@ -481,6 +491,9 @@ UNREAD_BUILD_FLAGS = [
      "--explore-time", "5"],
     # a vertex count nothing may size a structure by before it is checked
     ["surgery", "--input", "{huge}", "--dim", "2", "--site-a", "0", "--site-b", "30"],
+    # a finite box whose saddle values overflow
+    ["morse-frames", "--t", "1", "--box", "1e200", "--resolution", "8"],
+    ["morse-frames", "--t", "1", "--box", "1e308", "--resolution", "8"],
 ])
 def test_bad_input_is_exit_2_with_one_line(tmp_path, argv):
     files = input_files(tmp_path)

@@ -80,7 +80,7 @@ def test_positive_octant_spot_check():
         for _ in range(3):
             ic = tuple(rng.uniform(0.1, 2.0) for _ in range(3))
             traj = integrate(params, ic, 200.0)
-            assert min(min(s) for s in traj.states) > -1e-6
+            assert float(traj.states.min()) > -1e-6
 
 
 def test_time_grid_and_stats():

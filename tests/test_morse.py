@@ -66,3 +66,10 @@ def test_validation_errors():
         morse_frames([0.0], box=math.inf)
     with pytest.raises(ValueError, match="finite"):
         morse_frames([0.0, math.nan])
+
+
+def test_box_whose_saddle_values_overflow_is_refused():
+    # unchecked, x * x overflows: NaN polylines at 1e200, no branch at 1e308
+    for box in (1e200, 1e308):
+        with pytest.raises(ValueError, match="overflows"):
+            morse_frames([1.0], box=box, resolution=8)

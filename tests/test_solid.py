@@ -1,7 +1,9 @@
 import pytest
 
+from toposurge.manifolds import build_standard
 from toposurge.solid import (
     KINDS,
+    Layer,
     SolidFamily,
     classify_layer,
     cross_section_check,
@@ -99,3 +101,11 @@ def test_unsupported_kind_errors():
     bogus = SolidFamily("solid_9d_9", "input", "forward", (), "point")
     with pytest.raises(ValueError):
         cross_section_check(bogus)
+
+
+def test_layer_without_a_section_rule_is_refused():
+    g2 = build_standard("genus_g", 2)
+    fam = SolidFamily("solid_2d_0", "output", "forward", (Layer(1.0, g2, classify_layer(g2)),),
+                      "circle")
+    with pytest.raises(ValueError, match=r"^layer type 'other' has no section rule$"):
+        cross_section_check(fam)
