@@ -96,18 +96,16 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.t[-1])
 
-    def state_at(self, tq: float) -> Vec3:
-        """Cubic Hermite interpolation at time tq within the sampled range."""
-        i = int(self.t.searchsorted(tq, side="right")) - 1
-        i = max(0, min(i, len(self.t) - 2))
-        return _hermite(*self.bracket(i), tq)
-
-    def bracket(self, i: int):
-        """t0, t1, y0, y1, f0, f1 of steps i and i + 1, as Python floats."""
-        t0, t1 = self.t[i:i + 2].tolist()
-        y0, y1 = self.states[i:i + 2].tolist()
-        f0, f1 = self.derivs[i:i + 2].tolist()
-        return t0, t1, y0, y1, f0, f1
+    def state_at(self, tq) -> np.ndarray:
+        """Cubic Hermite interpolation at one time, shape (3,), or at an
+        array of times, shape (n, 3), within the sampled range."""
+        tq = np.asarray(tq, dtype=float)
+        i = np.clip(self.t.searchsorted(tq, side="right") - 1, 0, len(self.t) - 2)
+        t0, h = self.t[i], self.t[i + 1] - self.t[i]
+        h00, h10, h01, h11 = hermite_weights((tq - t0) / h)
+        h10, h11 = h10 * h, h11 * h
+        return (h00[..., None] * self.states[i] + h10[..., None] * self.derivs[i]
+                + h01[..., None] * self.states[i + 1] + h11[..., None] * self.derivs[i + 1])
 
 
 def _column(buf: array, *shape: int) -> np.ndarray:
@@ -297,23 +295,18 @@ def integrate(
 # dense output
 # ---------------------------------------------------------------------------
 
-def _hermite(t0, t1, y0, y1, f0, f1, tq):
-    h = t1 - t0
-    s = (tq - t0) / h
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return tuple(
-        h00 * a + h10 * h * fa + h01 * b + h11 * h * fb
-        for a, b, fa, fb in zip(y0, y1, f0, f1)
-    )
+def hermite_weights(s):
+    """Cubic Hermite weights h00, h10, h01, h11 at s = (t - t0) / h; squaring
+    by r * r, not ** 2, gives Python floats and numpy arrays the same bits."""
+    r = 1 - s
+    return (1 + 2 * s) * (r * r), s * (r * r), s * s * (3 - 2 * s), s * s * (s - 1)
 
 
-def resample(traj: Trajectory, n: int) -> tuple[tuple[float, ...], tuple[Vec3, ...]]:
-    """Uniform time grid with n points via dense output."""
-    if n < 2:
-        raise ValueError("need at least 2 resample points")
+def resample(traj: Trajectory, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Times (n,) and states (n, 3) on a uniform grid via dense output; n is
+    at most 5,000,000, the most steps one integration may take."""
+    if not 2 <= n <= _MAX_STEPS:
+        raise ValueError(f"resample points must lie in [2, {_MAX_STEPS}]")
     t0, t1 = float(traj.t[0]), traj.t_end
-    ts = tuple(t0 + (t1 - t0) * i / (n - 1) for i in range(n))
-    return ts, tuple(traj.state_at(tq) for tq in ts)
+    ts = t0 + (t1 - t0) * np.arange(n) / (n - 1)
+    return ts, traj.state_at(ts)

@@ -49,8 +49,10 @@ def morse_frames(
         raise ValueError("resolution must be >= 8")
     if not 0 < box < math.inf:
         raise ValueError("box must be positive and finite")
-    # |x^2 - y^2 - t| <= box^2 + |t|; interpolation subtracts two such values
-    if not all(math.isfinite(2.0 * (box * box + abs(t))) for t in t_values):
+    # |x^2 - y^2 - t| <= box^2 + |t|; only a frame with |t| <= box^2 changes
+    # sign, and only there does interpolation subtract two such values
+    b2 = box * box
+    if not all(math.isfinite((b2 + abs(t)) * (2.0 if abs(t) <= b2 else 1.0)) for t in t_values):
         raise ValueError("box and t are too large: x^2 - y^2 - t overflows")
     return [_extract_frame(t, box, resolution) for t in t_values]
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import SlowManifold, SystemParams, Vec3, slow_manifold
-from .integrate import Trajectory, _hermite, integrate
+from .integrate import Trajectory, hermite_weights, integrate
 
 EPS_STATIONARY = 1e-6
 EPS_AXIS = 1e-12
@@ -55,25 +55,34 @@ class SectionCrossing:
     direction: int  # +1: from negative to positive side, -1: reverse
 
 
-def _bisect_crossing(traj: Trajectory, i: int, point, normal, on_lo_side,
-                     rel_tol: float) -> tuple[float, Vec3]:
-    """Time and state at which the orbit crosses the plane
-    {(y - point) . normal = 0} between accepted steps i and i + 1: bisection
-    on the cubic Hermite interpolant.  on_lo_side(g) says whether a signed
-    distance g lies on step i's side of the plane; the bracket is refined
-    until it is at most rel_tol * max(1, |t|) wide."""
-    bracket = traj.bracket(i)
-    t_lo, t_hi = bracket[:2]
-    for _ in range(60):
-        t_mid = 0.5 * (t_lo + t_hi)
-        if on_lo_side((np.asarray(_hermite(*bracket, t_mid)) - point) @ normal):
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
-        if t_hi - t_lo <= rel_tol * max(1.0, abs(t_hi)):
-            break
-    t_c = 0.5 * (t_lo + t_hi)
-    return t_c, _hermite(*bracket, t_c)
+def _bisect_crossings(traj: Trajectory, i: np.ndarray, point, normal,
+                      rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Times (k,) and states (k, 3) at which the orbit crosses the plane
+    {(y - point) . normal = 0} between steps i and i + 1, for each entry of
+    the index array i.  The signed distance g on a step is the cubic Hermite
+    polynomial of its values and slopes f . normal at both ends, bisected
+    in Python floats until the bracket is at most rel_tol * max(1, |t|) wide."""
+    ends = np.stack([i, i + 1])
+    g0, g1 = ((traj.states[ends] - point) @ normal).tolist()
+    d0, d1 = (traj.derivs[ends] @ normal).tolist()
+    t_c = []
+    for t_lo, t_hi, a, b, da, db in zip(*traj.t[ends].tolist(), g0, g1, d0, d1):
+        t0, h = t_lo, t_hi - t_lo
+        # g seen from step i's side (negation is exact): the low end has g > 0
+        side = 1.0 if a > 0.0 else -1.0
+        a, b, da, db = side * a, side * b, side * h * da, side * h * db
+        for _ in range(60):
+            t_mid = 0.5 * (t_lo + t_hi)
+            w00, w10, w01, w11 = hermite_weights((t_mid - t0) / h)
+            if w00 * a + w10 * da + w01 * b + w11 * db > 0.0:
+                t_lo = t_mid
+            else:
+                t_hi = t_mid
+            if t_hi - t_lo <= rel_tol * max(1.0, abs(t_hi)):
+                break
+        t_c.append(0.5 * (t_lo + t_hi))
+    t_c = np.array(t_c)
+    return t_c, traj.state_at(t_c)
 
 
 def poincare(
@@ -95,13 +104,10 @@ def poincare(
         return []
 
     g = (traj.states - p0) @ n
-    out: list[SectionCrossing] = []
     sign_change = np.nonzero(g[:-1] * g[1:] < 0.0)[0]
-    for i in sign_change:
-        lo_positive = g[i] > 0
-        t_c, y_c = _bisect_crossing(traj, i, p0, n, lambda v: (v > 0) == lo_positive, 1e-14)
-        out.append(SectionCrossing(t=t_c, state=y_c, direction=1 if g[i] < 0 else -1))
-    return out
+    t_c, y_c = _bisect_crossings(traj, sign_change, p0, n, 1e-14)
+    return [SectionCrossing(t=t, state=tuple(y), direction=1 if g_lo < 0 else -1)
+            for t, y, g_lo in zip(t_c.tolist(), y_c.tolist(), g[sign_change].tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +174,7 @@ def winding_profile(traj: Trajectory, axis: SlowManifold) -> WindingProfile:
         i0, i1 = i0[wide], i1[wide]
         t_mid = 0.5 * (ts[i0] + ts[i1])
         ts = np.insert(ts, i0 + 1, t_mid)
-        states = np.insert(states, i0 + 1, [traj.state_at(tq) for tq in t_mid.tolist()],
-                           axis=0)
+        states = np.insert(states, i0 + 1, traj.state_at(t_mid), axis=0)
 
     return WindingProfile(
         t=ts[ok],
@@ -371,9 +376,9 @@ class _ReturnMap:
             raise LimitCycleNotFound(
                 f"no return to the section within t = {RETURN_T_MAX}", ()
             )
-        t_c, y_c = _bisect_crossing(traj, len(traj) - 2, self.origin, self.n,
-                                    lambda v: v < 0.0, 1e-13)
-        return self.project(y_c), t_c
+        t_c, y_c = _bisect_crossings(traj, np.array([len(traj) - 2]), self.origin,
+                                     self.n, 1e-13)
+        return self.project(y_c[0]), float(t_c[0])
 
 
 def detect_limit_cycle(

@@ -235,12 +235,9 @@ def frame_to_dict(f: LevelSetFrame) -> dict:
 # ---------------------------------------------------------------------------
 
 def trajectory_csv(traj: Trajectory, resample_n: int) -> str:
-    if resample_n:
-        ts, states = resample(traj, resample_n)
-    else:
-        ts, states = traj.t.tolist(), traj.states.tolist()
+    ts, states = resample(traj, resample_n) if resample_n else (traj.t, traj.states)
     lines = ["t,X,Y,Z"]
-    for t, s in zip(ts, states):
+    for t, s in zip(ts.tolist(), states.tolist()):
         lines.append(",".join((fmt(t), fmt(s[0]), fmt(s[1]), fmt(s[2]))))
     return "\n".join(lines) + "\n"
 

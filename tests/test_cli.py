@@ -184,6 +184,19 @@ def test_golden_region_b_iso(tmp_path, capsys):
     assert numeric_aware_equal(out.read_text(), (GOLDEN / "regionb_iso.svg").read_text())
 
 
+@pytest.mark.parametrize("golden, argv", [
+    ("regiona_t50.csv", ["--A", "3", "--B", "3", "--C", "3", "--ic", "1,1.3,0.89",
+                         "--t-end", "50", "--resample", "400"]),
+    ("regionb_t600.csv", ["--A", "2.9851", "--B", "3", "--C", "3", "--ic", "1,1,0.9",
+                          "--t-end", "600", "--resample", "1200"]),
+])
+def test_simulate_reproduces_the_golden_csv(tmp_path, capsys, golden, argv):
+    out = tmp_path / golden
+    code, _, _ = run(["simulate", *argv, "--out", str(out)], capsys)
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # surgery round trips
 # ---------------------------------------------------------------------------
@@ -263,6 +276,15 @@ def test_morse_frames_json_and_svg(tmp_path, capsys):
     assert sorted(p.name for p in outdir.iterdir()) == [
         "frame_000.svg", "frame_001.svg", "frame_002.svg",
     ]
+
+
+def test_huge_t_beyond_the_box_is_one_empty_frame(capsys):
+    # x^2 - y^2 <= 4 in the box, so the level set at t = 1e308 is empty
+    code, out, _ = run(["morse-frames", "--t", "1e308", "--box", "2", "--resolution", "8"],
+                       capsys)
+    assert code == 0
+    (frame,) = json.loads(out)["frames"]
+    assert frame["branch_count"] == 0 and frame["t"] == 1e308
 
 
 def test_golden_morse_frame(capsys):
@@ -494,6 +516,8 @@ UNREAD_BUILD_FLAGS = [
     # a finite box whose saddle values overflow
     ["morse-frames", "--t", "1", "--box", "1e200", "--resolution", "8"],
     ["morse-frames", "--t", "1", "--box", "1e308", "--resolution", "8"],
+    # more uniform rows than one integration may have steps
+    ["simulate", *P3, "--ic", "1,1,1", "--t-end", "1", "--resample", "30000000"],
 ])
 def test_bad_input_is_exit_2_with_one_line(tmp_path, argv):
     files = input_files(tmp_path)

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from toposurge.dynamics import SystemParams, rhs
-from toposurge.integrate import IntegrationError, integrate, resample
+from toposurge.integrate import IntegrationError, hermite_weights, integrate, resample
 
 
 def scipy_reference(p, ic, t_end):
@@ -100,6 +100,22 @@ def test_horizon_below_the_underflow_guard_is_one_step():
     assert traj.t.tolist() == [0.0, 1e-15] and len(traj.states) == 2
 
 
+def test_state_at_on_an_array_is_the_scalar_calls_bit_for_bit():
+    traj = integrate(SystemParams(2.9851, 3, 3), (1.0, 1.0, 0.9), 30.0)
+    rng = np.random.default_rng(12)
+    # random times, every step, and times past both ends (the end steps extend)
+    tq = np.concatenate([rng.uniform(0.0, 30.0, 500), traj.t, [-0.5, 30.5]])
+    states = traj.state_at(tq)
+    assert states.shape == (len(tq), 3) and traj.state_at(1.0).shape == (3,)
+    assert states.tolist() == [traj.state_at(t).tolist() for t in tq.tolist()]
+    assert traj.state_at(traj.t).tolist() == traj.states.tolist()
+    # the weights of Python floats, as the crossing bisection takes them,
+    # are those of numpy arrays
+    s = rng.uniform(0.0, 1.0, 1000)
+    assert np.array(hermite_weights(s)).T.tolist() == [
+        list(hermite_weights(x)) for x in s.tolist()]
+
+
 def test_resample_uniform():
     p = SystemParams(3, 3, 3)
     traj = integrate(p, (1.0, 1.3, 0.89), 10.0)
@@ -171,6 +187,9 @@ def test_precondition_errors():
         integrate(p, (1, 1, 1), 10.0, atol=1e-14)
     with pytest.raises(ValueError):
         resample(integrate(p, (1, 1, 1), 1.0), 1)
+    # no more rows than one integration may have steps
+    with pytest.raises(ValueError):
+        resample(integrate(p, (1, 1, 1), 1.0), 5_000_001)
 
 
 def test_blowup_is_reported_not_silent():
