@@ -37,9 +37,10 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .dynamics import SystemParams, Vec3, rhs
+
+np = lazy_numpy(globals())
 
 
 class IntegrationError(RuntimeError):

@@ -16,6 +16,19 @@ class InvalidManifold(ValueError):
     """Raised when a curve or surface fails its manifoldness checks."""
 
 
+# The stock builds refuse sizes above these before they allocate anything.
+# On a 2-vCPU host globe(256, 512), at the cell bound, builds and validates
+# in about 6 s and 0.2 GB; genus_g(400) takes about 3 s, and its time grows
+# as g^2.
+MAX_CELLS = 2 ** 18  # arcs of a stock curve, triangles of a stock surface
+MAX_GENUS = 400
+
+
+def _check_cells(n: int, what: str) -> None:
+    if n > MAX_CELLS:
+        raise InvalidManifold(f"{what} would have {n} cells; at most {MAX_CELLS}")
+
+
 # ---------------------------------------------------------------------------
 # 1-manifolds
 # ---------------------------------------------------------------------------
@@ -62,12 +75,14 @@ class OneManifold:
 def circle(n: int) -> OneManifold:
     if n < 2:
         raise InvalidManifold("a circle needs at least 2 arcs")
+    _check_cells(n, "circle")
     return OneManifold(cycles=(tuple(range(n)),))
 
 
 def two_circles(n: int, m: int) -> OneManifold:
     if n < 2 or m < 2:
         raise InvalidManifold("each circle needs at least 2 arcs")
+    _check_cells(n + m, "two_circles")
     return OneManifold(cycles=(tuple(range(n)), tuple(range(n, n + m))))
 
 
@@ -250,6 +265,7 @@ def globe(n_rings: int = 3, n_seg: int = 6) -> Surface:
     """
     if n_rings < 3 or n_seg < 3:
         raise InvalidManifold("globe needs n_rings >= 3 and n_seg >= 3")
+    _check_cells(2 * n_rings * n_seg, "globe")
     ring = lambda j, i: 2 + j * n_seg + (i % n_seg)
     tris: list[Triangle] = []
     for i in range(n_seg):  # north cap
@@ -332,8 +348,10 @@ def build_standard(kind: str, *args: int) -> "OneManifold | Surface":
     ``sphere``, ``torus`` and ``genus_g(g)``.
 
     ``sphere`` is the tetrahedron boundary and ``torus`` the 7-vertex minimal
-    triangulation.  ``genus_g`` surfaces are built handle-by-handle on a
-    refined sphere so they always carry valid disc sites for further cutting.
+    triangulation.  ``genus_g`` surfaces, g <= MAX_GENUS, are built
+    handle-by-handle on a refined sphere.  A handle takes the vertices of
+    its disc pair and adds none, so when no disc pair is left the surface is
+    subdivided once more before the next handle.
     """
     if kind == "circle":
         (n,) = args
@@ -349,11 +367,17 @@ def build_standard(kind: str, *args: int) -> "OneManifold | Surface":
         (g,) = args
         if g < 0:
             raise InvalidManifold("genus must be >= 0")
-        from .surgery import GluingMap, find_disc_pair, surgery_2d_0
+        if g > MAX_GENUS:
+            raise InvalidManifold(f"genus must be <= {MAX_GENUS}")
+        from .surgery import GluingMap, InvalidSite, find_disc_pair, surgery_2d_0
 
         s = subdivide(subdivide(tetra_sphere()))
         for _ in range(g):
-            site = find_disc_pair(s)
+            try:
+                site = find_disc_pair(s)
+            except InvalidSite:
+                s = subdivide(s)
+                site = find_disc_pair(s)
             s = surgery_2d_0(s, site, GluingMap())
         return s
     raise ValueError(f"unknown kind {kind!r}")

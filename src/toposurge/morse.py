@@ -14,6 +14,11 @@ from dataclasses import dataclass
 
 Point = tuple[float, float]
 
+# A frame holds (resolution + 1)^2 corner values as Python floats: at 2048,
+# about 0.2 GB and 7 s a frame on a 2-vCPU host.  Larger grids are refused
+# before any is built.
+MAX_RESOLUTION = 2048
+
 
 @dataclass(frozen=True)
 class LevelSetFrame:
@@ -47,6 +52,8 @@ def morse_frames(
         raise ValueError("t values must be finite")
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(f"resolution must be <= {MAX_RESOLUTION}")
     if not 0 < box < math.inf:
         raise ValueError("box must be positive and finite")
     # |x^2 - y^2 - t| <= box^2 + |t|; only a frame with |t| <= box^2 changes

@@ -23,10 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .dynamics import SlowManifold, SystemParams, Vec3, slow_manifold
 from .integrate import Trajectory, hermite_weights, integrate
+
+np = lazy_numpy(globals())
 
 EPS_STATIONARY = 1e-6
 EPS_AXIS = 1e-12

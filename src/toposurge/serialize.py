@@ -234,12 +234,16 @@ def frame_to_dict(f: LevelSetFrame) -> dict:
 # trajectory CSV
 # ---------------------------------------------------------------------------
 
+_CSV_CHUNK = 65_536  # rows formatted per join: bounds the Python lists alive at once
+
+
 def trajectory_csv(traj: Trajectory, resample_n: int) -> str:
     ts, states = resample(traj, resample_n) if resample_n else (traj.t, traj.states)
-    lines = ["t,X,Y,Z"]
-    for t, s in zip(ts.tolist(), states.tolist()):
-        lines.append(",".join((fmt(t), fmt(s[0]), fmt(s[1]), fmt(s[2]))))
-    return "\n".join(lines) + "\n"
+    chunks = ["t,X,Y,Z\n"]
+    for k in range(0, len(ts), _CSV_CHUNK):
+        rows = zip(ts[k:k + _CSV_CHUNK].tolist(), states[k:k + _CSV_CHUNK].tolist())
+        chunks.append("".join(f"{fmt(t)},{fmt(x)},{fmt(y)},{fmt(z)}\n" for t, (x, y, z) in rows))
+    return "".join(chunks)
 
 
 class CsvFormatError(ValueError):

@@ -45,6 +45,8 @@ DIRECTIONS = ("forward", "dual")
 
 _GLOBE_RINGS = 3
 _GLOBE_SEG = 6
+# solid-demo writes every layer's complex: 1,000 layers are 6.5 MB of JSON
+MAX_LAYERS = 1000
 
 
 @dataclass(frozen=True)
@@ -172,6 +174,8 @@ def solid_surgery(
         raise ValueError(f"unknown direction {direction!r}")
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
+    if n_layers > MAX_LAYERS:
+        raise ValueError(f"n_layers must be <= {MAX_LAYERS}")
 
     radii = [(i + 1) / n_layers for i in range(n_layers)]
     m_in, m_out = _SURGERY[kind, direction]()

@@ -1,7 +1,10 @@
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,9 +13,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toposurge
 from toposurge.cli import main
+from toposurge.dynamics import SystemParams
+from toposurge.integrate import integrate, resample
 from toposurge.manifolds import circle, globe, invariants
-from toposurge.serialize import complex_from_dict, complex_to_dict
+from toposurge.serialize import complex_from_dict, complex_to_dict, fmt, trajectory_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -195,6 +201,53 @@ def test_simulate_reproduces_the_golden_csv(tmp_path, capsys, golden, argv):
     code, _, _ = run(["simulate", *argv, "--out", str(out)], capsys)
     assert code == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_trajectory_csv_longer_than_one_chunk_is_the_row_join():
+    traj = integrate(SystemParams(3, 3, 3), (1.0, 1.3, 0.89), 5.0)
+    for n in (0, 100_000):
+        ts, states = resample(traj, n) if n else (traj.t, traj.states)
+        lines = ["t,X,Y,Z"]
+        for t, s in zip(ts.tolist(), states.tolist()):
+            lines.append(",".join((fmt(t), fmt(s[0]), fmt(s[1]), fmt(s[2]))))
+        assert trajectory_csv(traj, n) == "\n".join(lines) + "\n"
+
+
+# Runs in a fresh interpreter: the commands that build no trajectory must
+# leave numpy unimported, simulate must import it, and afterwards integrate
+# and orbits must hold numpy itself, not the stand-in.
+COLD_START = """
+import json, sys
+from toposurge.cli import main
+calls = [
+    ["equilibria", "--A", "3", "--B", "3", "--C", "3", "--out", "eq.txt"],
+    ["build", "--kind", "globe", "--out", "globe.json"],
+    ["build", "--kind", "genus_g", "--g", "2", "--out", "genus.json"],
+    ["surgery", "--input", "globe.json", "--dim", "2", "--type", "0",
+     "--site-a", "0,1,2,3,4,5", "--site-b", "30,31,32,33,34,35", "--out", "torus.json"],
+    ["morse-frames", "--t", "-1", "0", "1", "--out", "frames.json"],
+    ["solid-demo", "--kind", "2d0", "--layers", "2", "--out", "solid.json"],
+    ["plot", "--in", sys.argv[1], "--equilibria", "3,3,3", "--out", "orbit.svg"],
+]
+codes = [main(argv) for argv in calls]
+before = "numpy" in sys.modules
+codes.append(main(["simulate", "--A", "3", "--B", "3", "--C", "3", "--ic", "1,1.3,0.89",
+                   "--t-end", "5", "--out", "orbit.csv"]))
+import numpy
+print(json.dumps({"codes": codes, "before": before,
+                  "np": [sys.modules[m].np is numpy
+                         for m in ("toposurge.integrate", "toposurge.orbits")]}))
+"""
+
+
+def test_only_commands_that_build_a_trajectory_import_numpy(tmp_path):
+    src = str(Path(toposurge.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(GOLDEN / "regiona_t50.csv")],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"codes": [0] * 8, "before": False, "np": [True, True]}
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +571,12 @@ UNREAD_BUILD_FLAGS = [
     ["morse-frames", "--t", "1", "--box", "1e308", "--resolution", "8"],
     # more uniform rows than one integration may have steps
     ["simulate", *P3, "--ic", "1,1,1", "--t-end", "1", "--resample", "30000000"],
+    # sizes that would take the host's memory are refused before anything is built
+    ["morse-frames", "--t", "0", "--resolution", "20000"],
+    ["solid-demo", "--kind", "2d0", "--layers", "100000000"],
+    ["build", "--kind", "globe", "--rings", "100000", "--segments", "100000"],
+    ["build", "--kind", "genus_g", "--g", "100000000"],
+    ["build", "--kind", "circle", "--n", "1000000000"],
 ])
 def test_bad_input_is_exit_2_with_one_line(tmp_path, argv):
     files = input_files(tmp_path)
