@@ -4,6 +4,9 @@ Curves are cyclic (or open) sequences of abstract arc identifiers; surfaces
 are oriented triangle lists over integer vertices.  Everything here is pure
 combinatorics: no coordinates, no geometry.  Validity is checked eagerly on
 construction so that downstream cut-and-glue code can assume manifoldness.
+A surgery's output is checked on the stars of the vertices it touched only
+(:func:`_replaced`): the rest of the complex is the already-checked input,
+so the local check reaches the full check's verdict.
 """
 
 from __future__ import annotations
@@ -130,12 +133,16 @@ def _flood(
         stack = [seed]
         while stack:
             ti = stack.pop()
-            for u, v in _edges_of(tris[ti]):
+            f = flip[ti]
+            a, b, c = tris[ti]
+            for u, v in ((a, b), (b, c), (c, a)):
                 for tj in inc[(u, v) if u < v else (v, u)]:
                     if tj == ti:
                         continue
-                    # tj keeps ti's flip iff it runs the shared edge as (v, u)
-                    want = flip[ti] != ((u, v) in _edges_of(tris[tj]))
+                    # tj keeps ti's flip iff it runs the shared edge as
+                    # (v, u), i.e. iff v does not follow u in tj
+                    p, q, r = tris[tj]
+                    want = f != ((q if u == p else r if u == q else p) == v)
                     if comp[tj] < 0:
                         comp[tj] = n
                         flip[tj] = want
@@ -144,6 +151,34 @@ def _flood(
                         orientable = False
         n += 1
     return comp, orientable
+
+
+def _walk_links(
+    tris: Sequence[Triangle],
+    inc: dict[tuple[int, int], list[int]],
+    first: dict[int, int],
+    count: dict[int, int],
+    vertices: Iterable[int],
+) -> None:
+    """One-ring walk around each of ``vertices`` in turn; raise at the first
+    whose link is not a single cycle.  ``first[v]`` is a triangle at v,
+    ``count[v]`` the number of triangles at v, and every edge at v lies in
+    exactly two triangles of ``inc``."""
+    for v in vertices:
+        start = ti = first[v]
+        a, b, _ = tris[start]
+        w = b if a == v else a
+        steps = 0
+        while True:
+            t0, t1 = inc[(v, w) if v < w else (w, v)]
+            ti = t1 if t0 == ti else t0
+            a, b, c = tris[ti]
+            w = a + b + c - v - w  # the vertex of ti that is neither v nor w
+            steps += 1
+            if ti == start:
+                break
+        if steps != count[v]:
+            raise InvalidManifold(f"link of vertex {v} is not a single cycle")
 
 
 @dataclass(frozen=True)
@@ -161,6 +196,11 @@ class Surface:
     That is the one-ring walk: cross edges {v, w} from triangle to triangle
     around v; the link is one cycle iff the walk meets every triangle at v
     before it is back at the first.
+
+    A surgery's output is built by :func:`_replaced` instead, which runs
+    these checks on the stars of the vertices the surgery touched only.
+    Every other edge and link is one of the input surface, which passed
+    them, so the verdict is the same.
     """
 
     n_vertices: int
@@ -192,29 +232,85 @@ class Surface:
         if bad:
             raise InvalidManifold(f"edges not shared by exactly 2 triangles: {bad[:4]}")
 
-        for v in range(self.n_vertices):
-            start = ti = first[v]
-            a, b, _ = tris[start]
-            w = b if a == v else a
-            steps = 0
-            while True:
-                t0, t1 = inc[(v, w) if v < w else (w, v)]
-                ti = t1 if t0 == ti else t0
-                a, b, c = tris[ti]
-                w = a + b + c - v - w  # the vertex of ti that is neither v nor w
-                steps += 1
-                if ti == start:
-                    break
-            if steps != count[v]:
-                raise InvalidManifold(f"link of vertex {v} is not a single cycle")
+        _walk_links(tris, inc, first, count, range(self.n_vertices))
 
 
-def compact_surface(triangles: Iterable[Triangle]) -> Surface:
-    """Renumber vertices to drop unused indices, then validate."""
-    tris = [tuple(t) for t in triangles]
-    used = sorted({v for t in tris for v in t})
-    remap = {v: i for i, v in enumerate(used)}
-    return Surface(len(used), tuple((remap[a], remap[b], remap[c]) for a, b, c in tris))
+def _replaced(s: Surface, removed: Iterable[int], new: Sequence[Triangle]) -> Surface:
+    """The surface whose triangles are those of s outside the indices
+    ``removed``, in order, then ``new``; only surgery builds one.
+
+    Vertices are renumbered in sorted order of the ids in use: a vertex of
+    s whose star emptied is dropped, and a new vertex (an id outside
+    0..n_vertices-1) joins.  When none is dropped and the new ones are
+    n_vertices, n_vertices + 1, ..., the numbering is the identity.
+
+    Only the stars of the touched vertices, those of the removed and the
+    new triangles, are checked, with the full check's messages.  That is
+    the full check's verdict on a valid s: an edge with no touched end lies
+    only in triangles neither removed nor added, so it keeps its two
+    triangles, and an untouched vertex keeps its star and so its link.
+    """
+    old = s.triangles
+    cut = sorted(set(removed))
+    tris: list[Triangle] = []
+    start = 0
+    for i in cut:
+        tris.extend(old[start:i])
+        start = i + 1
+    tris.extend(old[start:])
+    n_kept = len(tris)
+    tris.extend(new)
+    if not tris:
+        raise InvalidManifold("surface with no triangles")
+
+    touched = {v for i in cut for v in old[i]}
+    touched.update(v for t in new for v in t)
+    star = [ti for ti, (a, b, c) in enumerate(tris)
+            if a in touched or b in touched or c in touched]
+    used = {v for ti in star for v in tris[ti]}
+    n = s.n_vertices
+    added = sorted(v for v in touched if not 0 <= v < n)
+    if touched <= used and added == list(range(n, n + len(added))):
+        nv = n + len(added)
+    else:
+        ids = sorted(set(range(n)).difference(touched - used).union(added))
+        label = {v: i for i, v in enumerate(ids)}
+        tris = [(label[a], label[b], label[c]) for a, b, c in tris]
+        touched = {label[v] for v in touched & used}
+        nv = len(ids)
+
+    for t in tris[n_kept:]:
+        a, b, c = t
+        if len({a, b, c}) != 3:
+            raise InvalidManifold(f"degenerate triangle {t}")
+
+    # the edge map of the touched edges, in the order the full map has them
+    inc: dict[tuple[int, int], list[int]] = {}
+    first: dict[int, int] = {}
+    count: dict[int, int] = {}
+    for ti in star:
+        t = tris[ti]
+        a, b, c = t
+        for u, v in ((a, b), (b, c), (c, a)):
+            if u in touched or v in touched:
+                inc.setdefault((u, v) if u < v else (v, u), []).append(ti)
+        for v in t:
+            if v in touched:
+                if v in count:
+                    count[v] += 1
+                else:
+                    first[v] = ti
+                    count[v] = 1
+    bad = [e for e, ts in inc.items() if len(ts) != 2]
+    if bad:
+        raise InvalidManifold(f"edges not shared by exactly 2 triangles: {bad[:4]}")
+    _walk_links(tris, inc, first, count, sorted(first))
+
+    # the checks above stand in for Surface.__post_init__
+    out = object.__new__(Surface)
+    object.__setattr__(out, "n_vertices", nv)
+    object.__setattr__(out, "triangles", tuple(tris))
+    return out
 
 
 # ---------------------------------------------------------------------------

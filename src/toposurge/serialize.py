@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Union
 
 from .dynamics import EquilibriumReport, SlowManifold
@@ -31,10 +30,12 @@ def fmt(x: float) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename.  The temp
+    file is created with mode 0666 less the umask, as ``open`` would."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)

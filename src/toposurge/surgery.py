@@ -24,8 +24,7 @@ from .manifolds import (
     _edge_triangles,
     _edges_of,
     _flood,
-    _ukey,
-    compact_surface,
+    _replaced,
 )
 
 
@@ -183,9 +182,9 @@ def _subcomplex_boundary(
         raise InvalidSite("site sub-complex has an edge in more than 2 triangles")
     # directed boundary edges follow the triangle orientation
     succ: dict[int, int] = {}
-    for t in tris:
-        for u, v in _edges_of(t):
-            if len(inc[_ukey(u, v)]) == 1:
+    for a, b, c in tris:
+        for u, v in ((a, b), (b, c), (c, a)):
+            if len(inc[(u, v) if u < v else (v, u)]) == 1:
                 if u in succ:
                     raise InvalidSite("site boundary is not a disjoint union of simple cycles")
                 succ[u] = v
@@ -296,10 +295,9 @@ def attach_tube(
     (valid in the returned surface; handy for the inverse surgery)."""
     cyc_a, cyc_b = validate_disc_pair(s, site)
     removed = set(site.disc_a) | set(site.disc_b)
-    remaining = [t for i, t in enumerate(s.triangles) if i not in removed]
     tube = _tube_triangles(cyc_a, cyc_b, g)
-    band = tuple(range(len(remaining), len(remaining) + len(tube)))
-    return compact_surface(remaining + tube), band
+    start = len(s.triangles) - len(removed)
+    return _replaced(s, removed, tube), tuple(range(start, start + len(tube)))
 
 
 def surgery_2d_0(s: Surface, site: DiscPairSite, g: GluingMap) -> Surface:
@@ -316,11 +314,10 @@ def surgery_2d_1(s: Surface, site: AnnulusSite, g: GluingMap) -> Surface:
     cannot change the result.
     """
     cycles = validate_annulus(s, site)
-    removed = set(site.triangles)
-    tris = [t for i, t in enumerate(s.triangles) if i not in removed]
+    caps: list[Triangle] = []
     for apex, c in enumerate(cycles, start=s.n_vertices):
-        tris.extend((apex, c[-i - 1], c[-i]) for i in range(len(c)))
-    return compact_surface(tris)
+        caps.extend((apex, c[-i - 1], c[-i]) for i in range(len(c)))
+    return _replaced(s, site.triangles, caps)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -282,6 +283,22 @@ def test_surgery_json_round_trip(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(back_file.read_text())["invariants"]["euler_characteristic"] == 2
+
+
+def test_out_file_takes_the_umask_and_the_stdout_bytes(tmp_path):
+    argv = ["solid-demo", "--kind", "2d0", "--layers", "2"]
+    code, want, _ = run_in_process(argv)
+    assert code == 0
+    path = tmp_path / "s.json"
+    old = os.umask(0o022)
+    try:
+        for _ in range(2):  # a new file, then one written over
+            assert run_in_process([*argv, "--out", str(path)]) == (0, "", "")
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644
+    finally:
+        os.umask(old)
+    assert path.read_bytes() == want.encode()
+    assert os.listdir(tmp_path) == ["s.json"]  # no temp file is left
 
 
 def test_twisted_1d_surgery_via_cli(tmp_path, capsys):

@@ -8,6 +8,8 @@ from toposurge.manifolds import (
     OneManifold,
     Surface,
     _edge_triangles,
+    _edges_of,
+    _flood,
     build_standard,
     circle,
     globe,
@@ -20,7 +22,7 @@ from toposurge.manifolds import (
     tetra_sphere,
     two_circles,
 )
-from toposurge.surgery import DiscPairSite, GluingMap, attach_tube
+from toposurge.surgery import DiscPairSite, GluingMap, attach_tube, find_disc_pair
 
 
 def test_tetra_sphere_invariants():
@@ -337,6 +339,75 @@ def test_link_walk_matches_the_link_table_reference(family):
         # in the others two identified vertices are adjacent or share a
         # neighbour, which fails an earlier check
         assert any(v and v.startswith("link of vertex") for v in verdicts)
+
+
+def _reference_flood(tris, inc):
+    """The flood that tested orientation by looking the directed edge up
+    in a tuple of the neighbour's edges, built per neighbour."""
+    comp = [-1] * len(tris)
+    flip = [False] * len(tris)
+    orientable = True
+    n = 0
+    for seed in range(len(tris)):
+        if comp[seed] >= 0:
+            continue
+        comp[seed] = n
+        stack = [seed]
+        while stack:
+            ti = stack.pop()
+            for u, v in _edges_of(tris[ti]):
+                for tj in inc[(u, v) if u < v else (v, u)]:
+                    if tj == ti:
+                        continue
+                    want = flip[ti] != ((u, v) in _edges_of(tris[tj]))
+                    if comp[tj] < 0:
+                        comp[tj] = n
+                        flip[tj] = want
+                        stack.append(tj)
+                    elif flip[tj] != want:
+                        orientable = False
+        n += 1
+    return comp, orientable
+
+
+def _reversed_at_random(tris, rnd):
+    return [(a, c, b) if rnd.random() < 0.5 else (a, b, c) for a, b, c in tris]
+
+
+def _flood_inputs(rnd):
+    """Triangle lists: closed surfaces with random triangles reversed
+    (orientable, not coherent), Klein bottles and disjoint unions, and
+    sub-complexes with boundary edges, as site validation floods them."""
+    closed = [globe(3, 4), globe(5, 9), subdivide(tetra_sphere()),
+              subdivide(subdivide(tetra_sphere())), subdivide(moebius_kantor_torus())]
+    for s in closed:
+        for _ in range(5):
+            yield _reversed_at_random(s.triangles, rnd)
+    klein = PARTS["klein"][0]
+    g4 = build_standard("genus_g", 4)
+    closed += [klein, attach_tube(g4, find_disc_pair(g4), GluingMap(2, True))[0]]
+    for _ in range(20):
+        names = rnd.sample(sorted(PARTS), rnd.randint(2, 4))
+        u = _union([PARTS[n][0] for n in names])
+        order = list(range(len(u.triangles)))
+        rnd.shuffle(order)
+        closed.append(Surface(u.n_vertices, tuple(u.triangles[i] for i in order)))
+    for s in closed:
+        yield s.triangles
+        yield _reversed_at_random(s.triangles, rnd)
+        for _ in range(10):
+            k = rnd.randint(1, len(s.triangles))
+            yield [s.triangles[i] for i in rnd.sample(range(len(s.triangles)), k)]
+
+
+def test_flood_matches_the_edge_tuple_reference():
+    kinds = set()
+    for tris in _flood_inputs(random.Random(14)):
+        inc = _edge_triangles(tris)
+        comp, orientable = _reference_flood(tris, inc)
+        assert _flood(tris, inc) == (comp, orientable), tris
+        kinds.add((max(comp) > 0, orientable))
+    assert kinds == {(False, True), (False, False), (True, True), (True, False)}
 
 
 @given(st.integers(min_value=2, max_value=40))

@@ -3,8 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toposurge import surgery
 from toposurge.manifolds import (
+    InvalidManifold,
     InvariantReport,
+    Surface,
     circle,
     globe,
     globe_band,
@@ -16,7 +19,7 @@ from toposurge.manifolds import (
     tetra_sphere,
     two_circles,
 )
-from toposurge.manifolds import _edge_triangles
+from toposurge.manifolds import _edge_triangles, _replaced
 from toposurge.surgery import (
     AnnulusSite,
     CurveSite,
@@ -24,13 +27,62 @@ from toposurge.surgery import (
     GluingMap,
     InvalidSite,
     _subcomplex_boundary,
+    _tube_triangles,
     all_disc_pairs,
     attach_tube,
     find_disc_pair,
     surgery_1d_0,
     surgery_2d_0,
     surgery_2d_1,
+    validate_annulus,
+    validate_disc_pair,
 )
+
+
+# ---------------------------------------------------------------------------
+# the oracle of every surgery output
+# ---------------------------------------------------------------------------
+
+def compact_surface(triangles):
+    """Renumber vertices to drop unused indices, then validate in full: how
+    every surgery built its output before the local check, kept as that
+    check's oracle."""
+    tris = [tuple(t) for t in triangles]
+    used = sorted({v for t in tris for v in t})
+    remap = {v: i for i, v in enumerate(used)}
+    return Surface(len(used), tuple((remap[a], remap[b], remap[c]) for a, b, c in tris))
+
+
+def _both_checks(s, removed, new):
+    """The local check's and the full check's outcome on the same input:
+    each the surface built, or the message of the InvalidManifold raised."""
+    cut = set(removed)
+    builds = (lambda: _replaced(s, removed, new),
+              lambda: compact_surface([t for i, t in enumerate(s.triangles) if i not in cut] + new))
+    out = []
+    for build in builds:
+        try:
+            out.append(build())
+        except InvalidManifold as exc:
+            out.append(str(exc))
+    return out
+
+
+def _checked_replaced(s, removed, new):
+    local, full = _both_checks(s, removed, new)
+    assert local == full  # a Surface compares n_vertices and triangles
+    if isinstance(local, str):
+        raise InvalidManifold(local)
+    return local
+
+
+@pytest.fixture(autouse=True, scope="module")
+def every_surgery_here_matches_compact_surface():
+    """Each surgery in this file builds its output by the local check and
+    by the full one, and must get the same surface from both."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surgery, "_replaced", _checked_replaced)
+        yield
 
 
 def _polar_site():
@@ -203,6 +255,8 @@ def test_every_disc_pair_of_a_klein_bottle_is_glued():
     assert len(pairs) == 120
     for site in pairs:
         t, band = attach_tube(k, site, GluingMap())
+        # the tube follows the surviving triangles, as in compact_surface's input
+        assert band == tuple(range(len(k.triangles) - 2, len(t.triangles)))
         rep = invariants(t)
         assert (rep.components, rep.euler_characteristic, rep.orientable) == (1, -2, False)
         back = surgery_2d_1(t, AnnulusSite(band), GluingMap())
@@ -285,6 +339,66 @@ def test_equal_lengths_match_the_complement_walk_reference(s):
             # which fixes every invariant
             assert sorted(map(sorted, out.triangles)) == sorted(map(sorted, ref))
             assert out.triangles != ref
+
+
+def _cones(cycles, apexes):
+    """A cone cap over each cycle, run against it, as surgery_2d_1 caps."""
+    return [(apex, c[-i - 1], c[-i]) for apex, c in zip(apexes, cycles) for i in range(len(c))]
+
+
+def _valid_replacements():
+    """(surface, removed, new) inputs that surgery builds, with and without
+    vertices dropped by the renumbering."""
+    g = globe(3, 6)
+    polar = DiscPairSite(globe_north_cap(6), globe_south_cap(3, 6))
+    holes = validate_disc_pair(g, polar)
+    caps = polar.disc_a + polar.disc_b
+    yield g, caps, _tube_triangles(*holes, GluingMap())
+    yield g, caps, _cones(holes, (g.n_vertices, g.n_vertices + 1))
+    s = subdivide(globe(3, 6))
+    site = find_disc_pair(s)
+    yield s, site.disc_a + site.disc_b, _tube_triangles(*validate_disc_pair(s, site), GluingMap(2))
+    t, band = attach_tube(g, polar, GluingMap(1, True))
+    yield t, band, _cones(validate_annulus(t, AnnulusSite(band)),
+                          (t.n_vertices, t.n_vertices + 1))
+
+
+def _mutants(new):
+    """``new`` with one triangle dropped, duplicated, made degenerate, or
+    with one vertex swapped for a third vertex of ``new``."""
+    for k, (a, b, c) in enumerate(new):
+        yield new[:k] + new[k + 1:]
+        yield new[:k + 1] + new[k:]
+        yield new[:k] + [(a, b, a)] + new[k + 1:]
+        x = next(v for t in new for v in t if v not in (a, b, c))
+        yield new[:k] + [(a, b, x)] + new[k + 1:]
+
+
+def test_local_check_refuses_what_the_full_check_refuses():
+    messages = set()
+    for s, removed, new in _valid_replacements():
+        local, full = _both_checks(s, removed, new)
+        assert isinstance(local, Surface) and local == full
+        for bad in _mutants(new):
+            local, full = _both_checks(s, removed, bad)
+            assert isinstance(local, str) and local == full, bad
+            messages.add(local.split(" ")[0])
+    assert messages == {"degenerate", "edges"}
+
+    # caps that pinch a vertex pass the edge check and fail a link.  The
+    # poles go with the polar caps, so the ids above them close up by two
+    g = globe(3, 6)
+    polar = DiscPairSite(globe_north_cap(6), globe_south_cap(3, 6))
+    holes = validate_disc_pair(g, polar)
+    caps = polar.disc_a + polar.disc_b
+    n = g.n_vertices
+    for removed, new, v in [
+        (caps, _cones(holes, (n, n)), n - 2),  # one apex for both caps
+        (caps, _cones(holes, (14, n)), 12),  # an apex on the far ring
+        (polar.disc_a, _cones(holes[:1], (19,)), 18),  # one cap, one pole gone
+    ]:
+        local, full = _both_checks(g, removed, new)
+        assert local == full == f"link of vertex {v} is not a single cycle"
 
 
 def test_disc_pair_validation_errors():
