@@ -231,11 +231,7 @@ def cmd_build(args) -> int:
     _reject_unread(args, [o for o in _SIZE_OPTIONS if o not in sizes], f"--kind {args.kind}")
     values = [unset if getattr(args, o) is None else getattr(args, o)
               for o, unset in sizes.items()]
-    if args.kind == "globe":
-        m = manifolds.globe(*values)
-    else:
-        m = manifolds.build_standard(args.kind, *values)
-    _emit_complex(m, args.out)
+    _emit_complex(manifolds.build_standard(args.kind, *values), args.out)
     return 0
 
 

@@ -5,10 +5,11 @@ Math. 6:19, 1980) with FSAL stage reuse, the PI step-size control of
 Hairer, Norsett & Wanner (Solving Ordinary Differential Equations I,
 sections II.4-II.5), and cubic Hermite dense output between accepted steps.
 
-A trajectory is stored by columns: each accepted step appends its time,
-its state and its FSAL derivative to three flat float64 buffers, 56 bytes
-a step, and the Trajectory exposes them as read-only numpy views, t of
-shape (n,) and states and derivs of shape (n, 3).
+A trajectory is stored by columns: each accepted step appends its time
+and its state to two flat float64 buffers, 32 bytes a step, exposed as
+read-only numpy views, t of shape (n,) and states of shape (n, 3).  Dense
+output takes the vector field at a step's two ends from `dynamics.rhs`,
+which is the step kernel's FSAL stage to the last bit.
 
 The state is only 3-dimensional, so numpy overhead would dominate.  One
 step is straight-line code on local floats instead: the tableau, A, B, C
@@ -72,22 +73,19 @@ class IntegratorStats:
     n_accepted: int
     n_rejected: int
     n_rhs: int
-    rtol: float
-    atol: float
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Every accepted step of one integration, the initial state first.
 
-    t is a float64 array of shape (n,), states and derivs are float64
-    arrays of shape (n, 3): X, Y, Z and the vector field there.  All three
-    are read-only views of the buffers the step loop filled."""
+    t is a float64 array of shape (n,) and states a float64 array of shape
+    (n, 3), X, Y, Z; both are read-only views of the buffers the step loop
+    filled."""
 
     params: SystemParams
     t: np.ndarray
     states: np.ndarray
-    derivs: np.ndarray
     stats: IntegratorStats
 
     def __len__(self) -> int:
@@ -105,8 +103,13 @@ class Trajectory:
         t0, h = self.t[i], self.t[i + 1] - self.t[i]
         h00, h10, h01, h11 = hermite_weights((tq - t0) / h)
         h10, h11 = h10 * h, h11 * h
-        return (h00[..., None] * self.states[i] + h10[..., None] * self.derivs[i]
-                + h01[..., None] * self.states[i + 1] + h11[..., None] * self.derivs[i + 1])
+        f0, f1 = self.slopes(np.stack([i, i + 1]))
+        return (h00[..., None] * self.states[i] + h10[..., None] * f0
+                + h01[..., None] * self.states[i + 1] + h11[..., None] * f1)
+
+    def slopes(self, i) -> np.ndarray:
+        """The vector field at the rows i of states only, shape i.shape + (3,)."""
+        return np.stack(rhs(self.states.T[:, i], self.params), axis=-1)
 
 
 def _column(buf: array, *shape: int) -> np.ndarray:
@@ -181,8 +184,8 @@ def integrate(
     h = _initial_step(f, y0, p, rtol, atol)
     n_rhs += 1
 
-    ts, states, derivs = array("d", (t,)), array("d", y0), array("d", f)
-    t_append, y_append, f_append = ts.append, states.append, derivs.append
+    ts, states = array("d", (t,)), array("d", y0)
+    t_append, y_append = ts.append, states.append
     next_check = _BUDGET_CHECK
     n_acc = 0
     n_rej = 0
@@ -268,9 +271,6 @@ def integrate(
             y_append(X)
             y_append(Y)
             y_append(Z)
-            f_append(k0x)
-            f_append(k0y)
-            f_append(k0z)
             n_acc += 1
             fac = 5.0 if err == 0.0 else min(
                 5.0, max(0.2, 0.9 * err ** -0.17 * err_prev ** 0.04)
@@ -287,8 +287,7 @@ def integrate(
         params=p,
         t=_column(ts, -1),
         states=_column(states, -1, 3),
-        derivs=_column(derivs, -1, 3),
-        stats=IntegratorStats(n_acc, n_rej, n_rhs, rtol, atol),
+        stats=IntegratorStats(n_acc, n_rej, n_rhs),
     )
 
 

@@ -417,15 +417,14 @@ def invariants(m: "OneManifold | Surface") -> InvariantReport:
 def _surface_invariants(s: Surface) -> InvariantReport:
     inc = _edge_triangles(s.triangles)
     comp, orientable = _flood(s.triangles, inc)
-    # per component V - E + F; a vertex or an edge lies in one component
-    chi_per = [0] * (max(comp) + 1)
+    # per component V - F/2: each edge lies in two of its triangles, so E = 3F/2
+    faces = [0] * (max(comp) + 1)
     comp_of_vertex = [0] * s.n_vertices
     for t, c in zip(s.triangles, comp):
-        chi_per[c] += 1
+        faces[c] += 1
         for v in t:
             comp_of_vertex[v] = c
-    for ts in inc.values():
-        chi_per[comp[ts[0]]] -= 1
+    chi_per = [-f // 2 for f in faces]
     for c in comp_of_vertex:
         chi_per[c] += 1
 
@@ -441,7 +440,7 @@ def _surface_invariants(s: Surface) -> InvariantReport:
 
 def build_standard(kind: str, *args: int) -> "OneManifold | Surface":
     """Construct the stock manifolds: ``circle(n)``, ``two_circles(n, m)``,
-    ``sphere``, ``torus`` and ``genus_g(g)``.
+    ``sphere``, ``torus``, ``genus_g(g)`` and ``globe(rings, segments)``.
 
     ``sphere`` is the tetrahedron boundary and ``torus`` the 7-vertex minimal
     triangulation.  ``genus_g`` surfaces, g <= MAX_GENUS, are built
@@ -476,4 +475,7 @@ def build_standard(kind: str, *args: int) -> "OneManifold | Surface":
                 site = find_disc_pair(s)
             s = surgery_2d_0(s, site, GluingMap())
         return s
+    if kind == "globe":
+        n_rings, n_seg = args
+        return globe(n_rings, n_seg)
     raise ValueError(f"unknown kind {kind!r}")

@@ -65,7 +65,7 @@ def _bisect_crossings(traj: Trajectory, i: np.ndarray, point, normal,
     in Python floats until the bracket is at most rel_tol * max(1, |t|) wide."""
     ends = np.stack([i, i + 1])
     g0, g1 = ((traj.states[ends] - point) @ normal).tolist()
-    d0, d1 = (traj.derivs[ends] @ normal).tolist()
+    d0, d1 = (traj.slopes(ends) @ normal).tolist()
     t_c = []
     for t_lo, t_hi, a, b, da, db in zip(*traj.t[ends].tolist(), g0, g1, d0, d1):
         t0, h = t_lo, t_hi - t_lo

@@ -138,14 +138,14 @@ PINNED_ORBITS = (
 @pytest.mark.parametrize("p, ic, t_end, counts", PINNED_ORBITS)
 def test_step_kernel_is_pinned(p, ic, t_end, counts):
     traj = integrate(p, ic, t_end)
-    # the inlined vector field is dynamics.rhs to the last bit
-    assert all(tuple(d) == rhs(s, p)
-               for s, d in zip(traj.states.tolist(), traj.derivs.tolist()))
+    # the slopes dense output reads are dynamics.rhs on each row, in Python floats
+    assert all(tuple(d) == rhs(s, p) for s, d in zip(
+        traj.states.tolist(), traj.slopes(np.arange(len(traj))).tolist()))
     stats = traj.stats
     assert (stats.n_accepted, stats.n_rejected, stats.n_rhs) == counts
 
 
-def test_columns_take_56_bytes_a_step_and_are_read_only():
+def test_columns_take_32_bytes_a_step_and_are_read_only():
     p, ic, t_end, _ = PINNED_ORBITS[0]
     tracemalloc.start()
     try:
@@ -155,11 +155,11 @@ def test_columns_take_56_bytes_a_step_and_are_read_only():
         tracemalloc.stop()
     n = len(traj)
     assert n == 22516
-    assert traj.t.shape == (n,) and traj.states.shape == traj.derivs.shape == (n, 3)
-    assert traj.t.nbytes + traj.states.nbytes + traj.derivs.nbytes == 56 * n
+    assert traj.t.shape == (n,) and traj.states.shape == (n, 3)
+    assert traj.t.nbytes + traj.states.nbytes == 32 * n
     # the step loop builds no per-step objects that outlive the step
     assert peak < 100 * n
-    for column in (traj.t, traj.states, traj.derivs):
+    for column in (traj.t, traj.states):
         with pytest.raises(ValueError):
             column[0] = 0.0
 

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from toposurge import orbits
 from toposurge.dynamics import rhs, slow_manifold
-from toposurge.integrate import Trajectory, integrate
+from toposurge.integrate import Trajectory, hermite_weights, integrate
 from toposurge.orbits import (
     EPS_AXIS,
     LimitCycleNotFound,
@@ -64,7 +65,8 @@ def _bisect_crossing_reference(traj, i, point, normal, on_lo_side, rel_tol):
     interpolant, squared with ** 2, each midpoint projected onto the
     normal; on_lo_side(g) says whether g lies on step i's side."""
     t0, t1 = traj.t[i:i + 2].tolist()
-    (y0, y1), (f0, f1) = traj.states[i:i + 2].tolist(), traj.derivs[i:i + 2].tolist()
+    y0, y1 = traj.states[i:i + 2].tolist()
+    f0, f1 = rhs(y0, traj.params), rhs(y1, traj.params)
 
     def hermite(tq):
         h = t1 - t0
@@ -175,6 +177,20 @@ def test_winding_azimuth_gaps_are_small(reference_orbits):
     assert np.abs(np.diff(prof.theta)).max() < math.pi
 
 
+def _hermite_by_scalar_rhs(traj, tq):
+    """Trajectory.state_at at one time in Python floats, with the slopes
+    from scalar rhs at both ends of the step."""
+    i = min(max(bisect.bisect_right(traj.t.tolist(), tq) - 1, 0), len(traj) - 2)
+    t0, t1 = traj.t[i:i + 2].tolist()
+    y0, y1 = traj.states[i:i + 2].tolist()
+    f0, f1 = rhs(y0, traj.params), rhs(y1, traj.params)
+    h = t1 - t0
+    h00, h10, h01, h11 = hermite_weights((tq - t0) / h)
+    h10, h11 = h10 * h, h11 * h
+    return tuple(h00 * a + h10 * fa + h01 * b + h11 * fb
+                 for a, b, fa, fb in zip(y0, y1, f0, f1))
+
+
 def _winding_profile_by_list_insert(traj, axis):
     """winding_profile as a scalar reference: each gap midpoint is put into
     Python lists one at a time, last gap first."""
@@ -200,7 +216,7 @@ def _winding_profile_by_list_insert(traj, axis):
             break
         for i0, t_mid in reversed(inserts):
             ts.insert(i0 + 1, t_mid)
-            states.insert(i0 + 1, traj.state_at(t_mid))
+            states.insert(i0 + 1, _hermite_by_scalar_rhs(traj, t_mid))
     h, r, x1, x2 = _axis_coordinates(np.asarray(states), axis)
     ok = r >= EPS_AXIS
     return WindingProfile(t=np.asarray(ts)[ok], theta=np.unwrap(np.arctan2(x2[ok], x1[ok])),
@@ -210,8 +226,7 @@ def _winding_profile_by_list_insert(traj, axis):
 def test_gap_midpoints_match_the_list_insert_reference(reference_orbits):
     # every 32nd step of a region-b orbit leaves azimuth gaps of pi or more
     full = reference_orbits["b"][(1.0, 1.0, 0.9)]
-    sparse = Trajectory(full.params, full.t[::32], full.states[::32], full.derivs[::32],
-                        full.stats)
+    sparse = Trajectory(full.params, full.t[::32], full.states[::32], full.stats)
     axis = slow_manifold(PARAMS_B)
     prof = winding_profile(sparse, axis)
     ref = _winding_profile_by_list_insert(sparse, axis)

@@ -403,16 +403,20 @@ def test_local_check_refuses_what_the_full_check_refuses():
 
 def test_disc_pair_validation_errors():
     s = globe(3, 6)
-    with pytest.raises(InvalidSite):
-        surgery_2d_0(s, DiscPairSite((0,), (0,)), GluingMap())  # shared triangle
-    with pytest.raises(InvalidSite):
-        surgery_2d_0(s, DiscPairSite((0,), (1,)), GluingMap())  # shares vertices
-    with pytest.raises(InvalidSite):
-        surgery_2d_0(s, DiscPairSite((0,), (999,)), GluingMap())  # out of range
+    with pytest.raises(InvalidSite, match="the two discs share triangles"):
+        surgery_2d_0(s, DiscPairSite((0,), (0,)), GluingMap())
+    with pytest.raises(InvalidSite, match="discs share vertices"):
+        surgery_2d_0(s, DiscPairSite((0,), (1,)), GluingMap())
+    with pytest.raises(InvalidSite, match="triangle index 999 out of range"):
+        surgery_2d_0(s, DiscPairSite((0,), (999,)), GluingMap())
     band = globe_band(0, 6)
-    with pytest.raises(InvalidSite):  # caps are adjacent to the first band
+    # the north cap and the first band share the first ring
+    with pytest.raises(InvalidSite, match="discs share vertices"):
         surgery_2d_0(s, DiscPairSite(globe_north_cap(6), (band[0],)), GluingMap())
-    with pytest.raises(InvalidSite):  # an annulus is not a disc
+    # triangles (0, 2, 3) and (9, 8, 14) share no vertex, but the edge 2-8 joins them
+    with pytest.raises(InvalidSite, match=r"discs are adjacent \(an edge joins them\)"):
+        surgery_2d_0(s, DiscPairSite((0,), (18,)), GluingMap())
+    with pytest.raises(InvalidSite, match="disc A: Euler characteristic != 1"):  # an annulus
         surgery_2d_0(
             s, DiscPairSite(globe_band(1, 6), globe_north_cap(6)), GluingMap()
         )
