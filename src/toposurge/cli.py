@@ -196,7 +196,10 @@ def cmd_surgery(args) -> int:
             else f"2-dimensional {args.type or 0}-surgery")
     _reject_unread(args, _SURGERY_UNUSED[kind], kind)
     with open(args.input) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except RecursionError:
+            raise ValueError(f"{args.input}: JSON nested too deeply") from None
     if isinstance(doc, dict) and "kind" not in doc:
         doc = doc.get("complex", doc)  # accept our own output documents back
     m = complex_from_dict(doc)

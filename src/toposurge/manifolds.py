@@ -4,9 +4,10 @@ Curves are cyclic (or open) sequences of abstract arc identifiers; surfaces
 are oriented triangle lists over integer vertices.  Everything here is pure
 combinatorics: no coordinates, no geometry.  Validity is checked eagerly on
 construction so that downstream cut-and-glue code can assume manifoldness.
-A surgery's output is checked on the stars of the vertices it touched only
-(:func:`_replaced`): the rest of the complex is the already-checked input,
-so the local check reaches the full check's verdict.
+The check is one function, run over every vertex when a surface is built
+and over the vertices a surgery touched when surgery builds its output
+(:func:`_replaced`): the rest of that complex is the already-checked input,
+so the local run reaches the full run's verdict.
 """
 
 from __future__ import annotations
@@ -181,6 +182,46 @@ def _walk_links(
             raise InvalidManifold(f"link of vertex {v} is not a single cycle")
 
 
+def _check_stars(
+    n: int, tris: Sequence[Triangle], star: Iterable[int], touched: range | set[int]
+) -> None:
+    """The surface check on the stars of the vertices ``touched``, which
+    ``star`` lists by triangle index in order.  Raise at the first failure
+    of: some triangle at all; each star triangle has three distinct vertices
+    in 0..n-1; every touched vertex lies in one; every edge at a touched
+    vertex lies in exactly two triangles; every touched link is one cycle.
+    ``touched`` is ``range(n)`` for the full check."""
+    if not tris:
+        raise InvalidManifold("surface with no triangles")
+    inc: dict[tuple[int, int], list[int]] = {}  # every edge of the star
+    first: dict[int, int] = {}  # vertex -> index of its first star triangle
+    count: dict[int, int] = {}  # vertex -> number of star triangles holding it
+    for ti in star:
+        t = tris[ti]
+        a, b, c = t
+        if len({a, b, c}) != 3:
+            raise InvalidManifold(f"degenerate triangle {t}")
+        for v in t:
+            if not (0 <= v < n):
+                raise InvalidManifold(f"vertex {v} out of range in {t}")
+            if v in count:
+                count[v] += 1
+            else:
+                first[v] = ti
+                count[v] = 1
+        for u, v in ((a, b), (b, c), (c, a)):
+            inc.setdefault((u, v) if u < v else (v, u), []).append(ti)
+    # any() stops at the first unused vertex, so a huge n is refused at once
+    if any(v not in count for v in touched):
+        raise InvalidManifold("unused vertex indices present")
+    # an edge with no touched end may have a triangle outside the star
+    bad = [e for e, ts in inc.items()
+           if len(ts) != 2 and (e[0] in touched or e[1] in touched)]
+    if bad:
+        raise InvalidManifold(f"edges not shared by exactly 2 triangles: {bad[:4]}")
+    _walk_links(tris, inc, first, count, sorted(touched))
+
+
 @dataclass(frozen=True)
 class Surface:
     """Closed triangulated surface: oriented triangles over 0..n_vertices-1.
@@ -197,42 +238,17 @@ class Surface:
     around v; the link is one cycle iff the walk meets every triangle at v
     before it is back at the first.
 
-    A surgery's output is built by :func:`_replaced` instead, which runs
-    these checks on the stars of the vertices the surgery touched only.
-    Every other edge and link is one of the input surface, which passed
-    them, so the verdict is the same.
+    There is one check, :func:`_check_stars`.  Construction runs it over
+    every vertex; a surgery's output is built by :func:`_replaced`, which
+    runs it over the vertices the surgery touched.
     """
 
     n_vertices: int
     triangles: tuple[Triangle, ...]
 
     def __post_init__(self):
-        tris = self.triangles
-        if not tris:
-            raise InvalidManifold("surface with no triangles")
-        first: dict[int, int] = {}  # vertex -> index of its first triangle
-        count: dict[int, int] = {}  # vertex -> number of triangles holding it
-        for ti, t in enumerate(tris):
-            a, b, c = t
-            if len({a, b, c}) != 3:
-                raise InvalidManifold(f"degenerate triangle {t}")
-            for v in t:
-                if not (0 <= v < self.n_vertices):
-                    raise InvalidManifold(f"vertex {v} out of range in {t}")
-                if v in count:
-                    count[v] += 1
-                else:
-                    first[v] = ti
-                    count[v] = 1
-        if len(count) != self.n_vertices:  # every vertex is in range, checked above
-            raise InvalidManifold("unused vertex indices present")
-
-        inc = _edge_triangles(tris)
-        bad = [e for e, ts in inc.items() if len(ts) != 2]
-        if bad:
-            raise InvalidManifold(f"edges not shared by exactly 2 triangles: {bad[:4]}")
-
-        _walk_links(tris, inc, first, count, range(self.n_vertices))
+        n = self.n_vertices
+        _check_stars(n, self.triangles, range(len(self.triangles)), range(n))
 
 
 def _replaced(s: Surface, removed: Iterable[int], new: Sequence[Triangle]) -> Surface:
@@ -244,11 +260,11 @@ def _replaced(s: Surface, removed: Iterable[int], new: Sequence[Triangle]) -> Su
     0..n_vertices-1) joins.  When none is dropped and the new ones are
     n_vertices, n_vertices + 1, ..., the numbering is the identity.
 
-    Only the stars of the touched vertices, those of the removed and the
-    new triangles, are checked, with the full check's messages.  That is
-    the full check's verdict on a valid s: an edge with no touched end lies
-    only in triangles neither removed nor added, so it keeps its two
-    triangles, and an untouched vertex keeps its star and so its link.
+    The surface check runs on the stars of the touched vertices only, those
+    of the removed and the new triangles.  That is the full check's verdict
+    on a valid s: an edge with no touched end lies only in triangles neither
+    removed nor added, so it keeps its two triangles, and an untouched
+    vertex keeps its star and so its link.
     """
     old = s.triangles
     cut = sorted(set(removed))
@@ -258,10 +274,7 @@ def _replaced(s: Surface, removed: Iterable[int], new: Sequence[Triangle]) -> Su
         tris.extend(old[start:i])
         start = i + 1
     tris.extend(old[start:])
-    n_kept = len(tris)
     tris.extend(new)
-    if not tris:
-        raise InvalidManifold("surface with no triangles")
 
     touched = {v for i in cut for v in old[i]}
     touched.update(v for t in new for v in t)
@@ -278,35 +291,9 @@ def _replaced(s: Surface, removed: Iterable[int], new: Sequence[Triangle]) -> Su
         tris = [(label[a], label[b], label[c]) for a, b, c in tris]
         touched = {label[v] for v in touched & used}
         nv = len(ids)
+    _check_stars(nv, tris, star, touched)
 
-    for t in tris[n_kept:]:
-        a, b, c = t
-        if len({a, b, c}) != 3:
-            raise InvalidManifold(f"degenerate triangle {t}")
-
-    # the edge map of the touched edges, in the order the full map has them
-    inc: dict[tuple[int, int], list[int]] = {}
-    first: dict[int, int] = {}
-    count: dict[int, int] = {}
-    for ti in star:
-        t = tris[ti]
-        a, b, c = t
-        for u, v in ((a, b), (b, c), (c, a)):
-            if u in touched or v in touched:
-                inc.setdefault((u, v) if u < v else (v, u), []).append(ti)
-        for v in t:
-            if v in touched:
-                if v in count:
-                    count[v] += 1
-                else:
-                    first[v] = ti
-                    count[v] = 1
-    bad = [e for e, ts in inc.items() if len(ts) != 2]
-    if bad:
-        raise InvalidManifold(f"edges not shared by exactly 2 triangles: {bad[:4]}")
-    _walk_links(tris, inc, first, count, sorted(first))
-
-    # the checks above stand in for Surface.__post_init__
+    # the check above stands in for Surface.__post_init__
     out = object.__new__(Surface)
     object.__setattr__(out, "n_vertices", nv)
     object.__setattr__(out, "triangles", tuple(tris))

@@ -26,7 +26,6 @@ class LevelSetFrame:
     box: float
     resolution: int
     polylines: tuple[tuple[Point, ...], ...]
-    degenerate: bool
 
     @property
     def branch_count(self) -> int:
@@ -36,6 +35,10 @@ class LevelSetFrame:
     def grid_tolerance(self) -> float:
         h = 2.0 * self.box / self.resolution
         return h * h
+
+    @property
+    def degenerate(self) -> bool:
+        return abs(self.t) <= self.grid_tolerance
 
 
 def _saddle(x: float, y: float) -> float:
@@ -111,15 +114,7 @@ def _extract_frame(t: float, box: float, resolution: int) -> LevelSetFrame:
                 for p, q in pairing:
                     segments.append((crossings[p][:2], crossings[q][:2]))
 
-    polylines = _chain(segments)
-    tol = h * h
-    return LevelSetFrame(
-        t=t,
-        box=box,
-        resolution=resolution,
-        polylines=tuple(polylines),
-        degenerate=abs(t) <= tol,
-    )
+    return LevelSetFrame(t=t, box=box, resolution=resolution, polylines=tuple(_chain(segments)))
 
 
 def _chain(segments) -> list[tuple[Point, ...]]:

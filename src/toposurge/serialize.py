@@ -3,7 +3,7 @@
 All floats are emitted with 12 significant digits and all JSON keys are
 sorted, so identical invocations produce byte-identical files.
 
-Complex schema:
+Complex schema, every count and id a JSON integer:
     {"kind": "surface", "vertices": N, "triangles": [[i, j, k], ...]}
     {"kind": "curve", "cycles": [[a0, ...], ...], "chains": [[...], ...]}
 
@@ -14,6 +14,7 @@ Trajectory CSV: header ``t,X,Y,Z``, one row per accepted integrator step
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Union
 
@@ -69,8 +70,16 @@ def complex_to_dict(m: Union[OneManifold, Surface]) -> dict:
     return out
 
 
+def _int(v) -> int:
+    """v if it is a JSON integer; a float, string or bool is refused, not
+    converted."""
+    if type(v) is not int:
+        raise TypeError(v)
+    return v
+
+
 def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    return tuple(tuple(_int(v) for v in row) for row in rows)
 
 
 def _field(convert, value, key: str):
@@ -89,7 +98,7 @@ def complex_from_dict(d: dict) -> Union[OneManifold, Surface]:
         raise ValueError("a complex document must be a JSON object")
     kind = d.get("kind")
     if kind == "surface":
-        return Surface(_field(int, d.get("vertices"), "vertices"),
+        return Surface(_field(_int, d.get("vertices"), "vertices"),
                        _field(_int_rows, d.get("triangles"), "triangles"))
     if kind == "curve":
         return OneManifold(_field(_int_rows, d.get("cycles"), "cycles"),
@@ -265,9 +274,12 @@ def read_trajectory_csv(text: str) -> list[tuple[float, float, float, float]]:
         if len(parts) != 4:
             raise CsvFormatError(f"line {ln}: expected 4 fields, got {len(parts)}")
         try:
-            rows.append(tuple(float(x) for x in parts))
+            row = tuple(float(x) for x in parts)
         except ValueError as exc:
             raise CsvFormatError(f"line {ln}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise CsvFormatError(f"line {ln}: fields must be finite")
+        rows.append(row)
     if not rows:
         raise CsvFormatError("no data rows")
     return rows

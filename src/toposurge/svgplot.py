@@ -115,17 +115,11 @@ def trajectory_svg(
 def frame_svg(frame: LevelSetFrame) -> str:
     """One level-set frame on a fixed [-box, box]^2 viewBox."""
     b = frame.box
-    span = CANVAS - 2 * MARGIN
-
-    def to_canvas(p):
-        u = MARGIN + (p[0] + b) / (2 * b) * span
-        v = CANVAS - MARGIN - (p[1] + b) / (2 * b) * span
-        return u, v
-
+    to_canvas, _ = _scaler([(-b, -b), (b, b)])
     body = [
         f'<rect x="0" y="0" width="{int(CANVAS)}" height="{int(CANVAS)}" fill="white"/>',
-        f'<rect x="{fmt(MARGIN)}" y="{fmt(MARGIN)}" width="{fmt(span)}" '
-        f'height="{fmt(span)}" fill="none" stroke="#cccccc"/>',
+        f'<rect x="{fmt(MARGIN)}" y="{fmt(MARGIN)}" width="{fmt(CANVAS - 2 * MARGIN)}" '
+        f'height="{fmt(CANVAS - 2 * MARGIN)}" fill="none" stroke="#cccccc"/>',
         f'<text x="{fmt(CANVAS / 2)}" y="{fmt(MARGIN / 2)}" text-anchor="middle" '
         f'font-size="15">x^2 - y^2 = {fmt(frame.t)}'
         f'{" (degenerate)" if frame.degenerate else ""}</text>',

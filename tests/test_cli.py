@@ -18,8 +18,8 @@ import toposurge
 from toposurge.cli import main
 from toposurge.dynamics import SystemParams
 from toposurge.integrate import integrate, resample
-from toposurge.manifolds import circle, globe, invariants
-from toposurge.serialize import complex_from_dict, complex_to_dict, fmt, trajectory_csv
+from toposurge.manifolds import OneManifold, build_standard, circle, globe, invariants
+from toposurge.serialize import complex_from_dict, complex_to_dict, dumps, fmt, trajectory_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -169,6 +169,14 @@ def test_plot_reports_malformed_row_with_line_number(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf", "1e999"])
+def test_plot_refuses_a_non_finite_field_by_line(tmp_path, field):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"t,X,Y,Z\n0,1,1,1\n1,1,{field},1\n")
+    assert run_in_process(["plot", "--in", str(bad)]) == (
+        2, "", "error: line 3: fields must be finite\n")
+
+
 def test_golden_region_a_xz(tmp_path, capsys):
     out = tmp_path / "a.svg"
     code, _, _ = run(
@@ -283,6 +291,39 @@ def test_surgery_json_round_trip(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(back_file.read_text())["invariants"]["euler_characteristic"] == 2
+
+
+def test_every_complex_written_loads_back():
+    curve = OneManifold(cycles=((0, 1, 2),), chains=((3, 4), (5,)))
+    for m in [circle(6), curve, globe(), build_standard("genus_g", 2),
+              build_standard("torus"), build_standard("two_circles", 3, 4)]:
+        assert complex_from_dict(json.loads(dumps(complex_to_dict(m)))) == m
+
+
+SURFACE_TEXT = '{"kind": "surface", "vertices": %s, "triangles": %s}'
+TETRA = "[[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]"
+
+
+NOT_INTEGERS = {
+    "vertices_1e999": (SURFACE_TEXT % ("1e999", TETRA), "vertices"),
+    "vertices_4.9": (SURFACE_TEXT % ("4.9", TETRA), "vertices"),
+    "vertices_4.0": (SURFACE_TEXT % ("4.0", TETRA), "vertices"),
+    "vertices_string": (SURFACE_TEXT % ('"4"', TETRA), "vertices"),
+    "vertices_true": (SURFACE_TEXT % ("true", TETRA), "vertices"),
+    "vertex_2.7": (SURFACE_TEXT % ("4", TETRA.replace("3, 2]]", "3, 2.7]]")), "triangles"),
+    "vertex_string": (SURFACE_TEXT % ("4", TETRA.replace("[0, 1, 2]", '[0, 1, "2"]')), "triangles"),
+    "vertex_false": (SURFACE_TEXT % ("4", TETRA.replace("[0, 1, 2]", "[0, 1, false]")), "triangles"),
+    "arc_1e400": ('{"kind": "curve", "cycles": [[0, 1e400]]}', "cycles"),
+    "chain_arc_2.5": ('{"kind": "curve", "cycles": [[0, 1]], "chains": [[2.5]]}', "chains"),
+}
+
+
+@pytest.mark.parametrize("text, field", NOT_INTEGERS.values(), ids=NOT_INTEGERS)
+def test_complex_fields_are_json_integers(text, field):
+    """Counts and ids are taken as JSON integers, never converted: a float
+    is not truncated, and neither a string nor a bool is read as a number."""
+    with pytest.raises(ValueError, match=f"^complex field '{field}' is missing or malformed$"):
+        complex_from_dict(json.loads(text))
 
 
 def test_out_file_takes_the_umask_and_the_stdout_bytes(tmp_path):
@@ -499,6 +540,11 @@ def input_files(d: Path) -> dict[str, str]:
         "huge": json.dumps({**complex_to_dict(globe()), "vertices": 10**12}),
         "csv": (GOLDEN / "regiona_t50.csv").read_text(),
         "badcsv": "t,X,Y,Z\n0,1,1,1\n1,oops,1,1\n",
+        "nancsv": "t,X,Y,Z\n0,1,1,1\n1,nan,nan,nan\n",
+        "deep": "[" * 100_000,
+        "infvertices": SURFACE_TEXT % ("1e999", TETRA),
+        "floatvertex": json.dumps(complex_to_dict(globe())).replace("[0, 2, 3]", "[0, 2, 3.7]", 1),
+        "infarc": '{"kind": "curve", "cycles": [[0, 1e400]]}',
         "file": "not a directory\n",
     }
     paths = {"missing": str(d / "missing"), "under_file": str(d / "file" / "out")}
@@ -594,6 +640,13 @@ UNREAD_BUILD_FLAGS = [
     ["build", "--kind", "globe", "--rings", "100000", "--segments", "100000"],
     ["build", "--kind", "genus_g", "--g", "100000000"],
     ["build", "--kind", "circle", "--n", "1000000000"],
+    # JSON nested past the parser's recursion limit
+    ["surgery", "--input", "{deep}", "--dim", "2", "--site-a", "0", "--site-b", "3"],
+    # numbers that are not JSON integers, one of them past float range
+    ["surgery", "--input", "{infvertices}", "--dim", "2", "--site-a", "0", "--site-b", "3"],
+    [DISC_SURGERY[0], "--input", "{floatvertex}", *DISC_SURGERY[3:]],
+    ["surgery", "--input", "{infarc}", "--dim", "1", "--site", "0,1"],
+    ["plot", "--in", "{nancsv}"],
 ])
 def test_bad_input_is_exit_2_with_one_line(tmp_path, argv):
     files = input_files(tmp_path)
@@ -694,7 +747,7 @@ COMMANDS = {
     "solid-demo": [{"--kind": (["1d0", "2d0", "2d1"], ["abc"]),
                     "--layers": ([OMIT, "1", "5"], SIZE),
                     "--direction": ([OMIT, "forward", "dual"], ["abc"]), **OUT}],
-    "plot": [{"--in": (["{csv}"], FILES[1] + ["{badcsv}", "{surface}"]),
+    "plot": [{"--in": (["{csv}"], FILES[1] + ["{badcsv}", "{nancsv}", "{surface}"]),
               "--projection": ([OMIT, "xy", "iso"], ["abc"]),
               "--equilibria": ([OMIT, "3,3,3", "2.9851,3,3"], HOSTILE), **OUT}],
 }

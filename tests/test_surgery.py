@@ -38,6 +38,8 @@ from toposurge.surgery import (
     validate_disc_pair,
 )
 
+from test_manifolds import _reference_verdict
+
 
 # ---------------------------------------------------------------------------
 # the oracle of every surgery output
@@ -66,6 +68,16 @@ def _both_checks(s, removed, new):
         except InvalidManifold as exc:
             out.append(str(exc))
     return out
+
+
+def _reference_outcome(s, removed, new):
+    """The message of the link-table reference on the output of a
+    replacement, renumbered as compact_surface renumbers it, or None: a
+    verdict that shares no code with the surface check."""
+    cut = set(removed)
+    tris = [t for i, t in enumerate(s.triangles) if i not in cut] + list(new)
+    remap = {v: i for i, v in enumerate(sorted({v for t in tris for v in t}))}
+    return _reference_verdict(len(remap), tuple(tuple(remap[v] for v in t) for t in tris))
 
 
 def _checked_replaced(s, removed, new):
@@ -379,9 +391,11 @@ def test_local_check_refuses_what_the_full_check_refuses():
     for s, removed, new in _valid_replacements():
         local, full = _both_checks(s, removed, new)
         assert isinstance(local, Surface) and local == full
+        assert _reference_outcome(s, removed, new) is None
         for bad in _mutants(new):
             local, full = _both_checks(s, removed, bad)
             assert isinstance(local, str) and local == full, bad
+            assert local == _reference_outcome(s, removed, bad), bad
             messages.add(local.split(" ")[0])
     assert messages == {"degenerate", "edges"}
 
@@ -398,7 +412,8 @@ def test_local_check_refuses_what_the_full_check_refuses():
         (polar.disc_a, _cones(holes[:1], (19,)), 18),  # one cap, one pole gone
     ]:
         local, full = _both_checks(g, removed, new)
-        assert local == full == f"link of vertex {v} is not a single cycle"
+        assert local == full == _reference_outcome(g, removed, new)
+        assert local == f"link of vertex {v} is not a single cycle"
 
 
 def test_disc_pair_validation_errors():
