@@ -8,6 +8,7 @@ see main.  All numeric output is deterministic.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import asdict
@@ -50,7 +51,7 @@ from .surgery import (
     surgery_2d_0,
     surgery_2d_1,
 )
-from .svgplot import frame_svg, trajectory_svg
+from .svgplot import PROJECTIONS, frame_svg, trajectory_svg
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -205,12 +206,9 @@ def cmd_surgery(args) -> int:
     m = complex_from_dict(doc)
     if (args.dim == 1) != isinstance(m, manifolds.OneManifold):
         raise ValueError(f"--dim {args.dim} needs a {'curve' if args.dim == 1 else 'surface'}")
-    g = GluingMap(rotation=args.rotation or 0, orientation_flip=bool(args.flip))
+    g = GluingMap(orientation_flip=bool(args.flip), **_given(args, "rotation"))
     if args.dim == 1:
-        arcs = _int_list(args.site, "--site")
-        if len(arcs) != 2:
-            raise ValueError("1-dimensional site needs exactly 2 arcs")
-        result = surgery_1d_0(m, CurveSite(arcs), g)
+        result = surgery_1d_0(m, CurveSite(_int_list(args.site, "--site")), g)
     elif args.type == 1:
         result = surgery_2d_1(m, AnnulusSite(_int_list(args.site, "--site")), g)
     else:
@@ -222,19 +220,17 @@ def cmd_surgery(args) -> int:
     return 0
 
 
-# build kind -> the size options it reads, in call order, each with the value
-# it takes when unset; a kind rejects the size options it does not read
-_BUILD_SIZES = {"circle": {"n": 6}, "two_circles": {"n": 6, "m": 6}, "sphere": {}, "torus": {},
-                "genus_g": {"g": 1}, "globe": {"rings": 3, "segments": 6}}
-_SIZE_OPTIONS = ("n", "m", "g", "rings", "segments")
+# a build kind's size options are its builder's parameters; _SIZE_OPTIONS has
+# every kind's, each once, in the order the kinds name them
+_SIZE_OPTIONS = tuple(dict.fromkeys(
+    o for build in manifolds.STOCK.values() for o in inspect.signature(build).parameters))
 
 
 def cmd_build(args) -> int:
-    sizes = _BUILD_SIZES[args.kind]
+    build = manifolds.STOCK[args.kind]
+    sizes = inspect.signature(build).parameters
     _reject_unread(args, [o for o in _SIZE_OPTIONS if o not in sizes], f"--kind {args.kind}")
-    values = [unset if getattr(args, o) is None else getattr(args, o)
-              for o, unset in sizes.items()]
-    _emit_complex(manifolds.build_standard(args.kind, *values), args.out)
+    _emit_complex(build(**_given(args, *sizes)), args.out)
     return 0
 
 
@@ -258,7 +254,7 @@ def cmd_morse_frames(args) -> int:
 
 def cmd_solid_demo(args) -> int:
     kind = {"1d0": "solid_1d_0", "2d0": "solid_2d_0", "2d1": "solid_2d_1"}[args.kind]
-    fam_in, fam_out = solid.solid_surgery(kind, args.layers, args.direction)
+    fam_in, fam_out = solid.solid_surgery(kind, args.layers, **_given(args, "direction"))
     rep_in = solid.cross_section_check(fam_in)
     rep_out = solid.cross_section_check(fam_out)
     doc = {
@@ -281,7 +277,7 @@ def cmd_plot(args) -> int:
     if args.equilibria:
         p = SystemParams(*_triple(args.equilibria, "--equilibria"))
         markers = [(e.label, e.coordinates) for e in equilibria(p)]
-    _emit(trajectory_svg(rows, projection=args.projection, markers=markers), args.out)
+    _emit(trajectory_svg(rows, markers=markers, **_given(args, "projection")), args.out)
     return 0
 
 
@@ -351,7 +347,8 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True)
     sp.add_argument("--dim", type=int, choices=(1, 2), required=True)
     # --type, --rotation and --flip default to None, "not given": a surgery
-    # rejects the ones it does not read; unset --type and --rotation mean 0
+    # rejects the ones it does not read; unset --type means 0, and an unset
+    # --rotation takes GluingMap's default
     sp.add_argument("--type", type=int, choices=(0, 1))
     sp.add_argument("--site", help="arc pair (1d) or annulus triangles (2d type 1)")
     sp.add_argument("--site-a", dest="site_a", help="first disc triangles (2d type 0)")
@@ -362,8 +359,8 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_surgery)
 
     sp = sub.add_parser("build", help="emit a standard complex as JSON")
-    sp.add_argument("--kind", choices=tuple(_BUILD_SIZES), required=True)
-    for option in _SIZE_OPTIONS:  # None, "not given": see _BUILD_SIZES
+    sp.add_argument("--kind", choices=tuple(manifolds.STOCK), required=True)
+    for option in _SIZE_OPTIONS:  # None, "not given": the builder's default
         sp.add_argument(f"--{option}", type=int)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_build)
@@ -380,13 +377,13 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solid-demo", help="layered surgery family with limits")
     sp.add_argument("--kind", choices=("1d0", "2d0", "2d1"), required=True)
     sp.add_argument("--layers", type=int, default=5)
-    sp.add_argument("--direction", choices=("forward", "dual"), default="forward")
+    sp.add_argument("--direction", choices=solid.DIRECTIONS)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_solid_demo)
 
     sp = sub.add_parser("plot", help="render a trajectory CSV to SVG")
     sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--projection", choices=("xy", "xz", "yz", "iso"), default="iso")
+    sp.add_argument("--projection", choices=PROJECTIONS)
     sp.add_argument("--equilibria", help="overlay steady states for A,B,C")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_plot)

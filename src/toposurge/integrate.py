@@ -72,7 +72,11 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 4
 class IntegratorStats:
     n_accepted: int
     n_rejected: int
-    n_rhs: int
+
+    @property
+    def n_rhs(self) -> int:
+        """rhs calls: the first slope, the initial step and six a step tried."""
+        return 2 + 6 * (self.n_accepted + self.n_rejected)
 
 
 @dataclass(frozen=True)
@@ -180,9 +184,7 @@ def integrate(
     y0 = tuple(float(v) for v in ic)
     t = 0.0
     f = rhs(y0, p)
-    n_rhs = 1
     h = _initial_step(f, y0, p, rtol, atol)
-    n_rhs += 1
 
     ts, states = array("d", (t,)), array("d", y0)
     t_append, y_append = ts.append, states.append
@@ -246,7 +248,6 @@ def integrate(
         k6x = x - x * y + C * x * x - A * z * x * x
         k6y = -y + x * y
         k6z = -B * z + A * z * x * x
-        n_rhs += 6
 
         # A non-finite k1 already made the new state non-finite.  A
         # non-finite k6 would enter the 5th-order solution through its zero
@@ -287,7 +288,7 @@ def integrate(
         params=p,
         t=_column(ts, -1),
         states=_column(states, -1, 3),
-        stats=IntegratorStats(n_acc, n_rej, n_rhs),
+        stats=IntegratorStats(n_acc, n_rej),
     )
 
 

@@ -76,14 +76,14 @@ class OneManifold:
         return frozenset(out)
 
 
-def circle(n: int) -> OneManifold:
+def circle(n: int = 6) -> OneManifold:
     if n < 2:
         raise InvalidManifold("a circle needs at least 2 arcs")
     _check_cells(n, "circle")
     return OneManifold(cycles=(tuple(range(n)),))
 
 
-def two_circles(n: int, m: int) -> OneManifold:
+def two_circles(n: int = 6, m: int = 6) -> OneManifold:
     if n < 2 or m < 2:
         raise InvalidManifold("each circle needs at least 2 arcs")
     _check_cells(n + m, "two_circles")
@@ -198,7 +198,10 @@ def _check_stars(
     count: dict[int, int] = {}  # vertex -> number of star triangles holding it
     for ti in star:
         t = tris[ti]
-        a, b, c = t
+        try:
+            a, b, c = t
+        except (TypeError, ValueError):
+            raise InvalidManifold(f"triangle {ti} does not have 3 vertices") from None
         if len({a, b, c}) != 3:
             raise InvalidManifold(f"degenerate triangle {t}")
         for v in t:
@@ -338,28 +341,28 @@ def subdivide(s: Surface) -> Surface:
     return Surface(nv, tuple(tris))
 
 
-def globe(n_rings: int = 3, n_seg: int = 6) -> Surface:
+def globe(rings: int = 3, segments: int = 6) -> Surface:
     """Sphere triangulated as polar caps plus latitude bands.
 
     Vertex 0 is the north pole, vertex 1 the south pole; ring ``j`` occupies
-    vertices ``2 + j*n_seg .. 2 + (j+1)*n_seg - 1``.  Useful because its
-    polar caps are canonical disc sites and its latitude bands canonical
+    vertices ``2 + j*segments .. 2 + (j+1)*segments - 1``.  Useful because
+    its polar caps are canonical disc sites and its latitude bands canonical
     annulus sites.
     """
-    if n_rings < 3 or n_seg < 3:
+    if rings < 3 or segments < 3:
         raise InvalidManifold("globe needs n_rings >= 3 and n_seg >= 3")
-    _check_cells(2 * n_rings * n_seg, "globe")
-    ring = lambda j, i: 2 + j * n_seg + (i % n_seg)
+    _check_cells(2 * rings * segments, "globe")
+    ring = lambda j, i: 2 + j * segments + (i % segments)
     tris: list[Triangle] = []
-    for i in range(n_seg):  # north cap
+    for i in range(segments):  # north cap
         tris.append((0, ring(0, i), ring(0, i + 1)))
-    for j in range(n_rings - 1):  # bands
-        for i in range(n_seg):
+    for j in range(rings - 1):  # bands
+        for i in range(segments):
             tris.append((ring(j, i + 1), ring(j, i), ring(j + 1, i)))
             tris.append((ring(j, i + 1), ring(j + 1, i), ring(j + 1, i + 1)))
-    for i in range(n_seg):  # south cap
-        tris.append((1, ring(n_rings - 1, i + 1), ring(n_rings - 1, i)))
-    return Surface(2 + n_rings * n_seg, tuple(tris))
+    for i in range(segments):  # south cap
+        tris.append((1, ring(rings - 1, i + 1), ring(rings - 1, i)))
+    return Surface(2 + rings * segments, tuple(tris))
 
 
 def globe_north_cap(n_seg: int = 6) -> tuple[int, ...]:
@@ -422,47 +425,43 @@ def _surface_invariants(s: Surface) -> InvariantReport:
 
 
 # ---------------------------------------------------------------------------
-# build_standard
+# Stock builds
 # ---------------------------------------------------------------------------
 
-def build_standard(kind: str, *args: int) -> "OneManifold | Surface":
-    """Construct the stock manifolds: ``circle(n)``, ``two_circles(n, m)``,
-    ``sphere``, ``torus``, ``genus_g(g)`` and ``globe(rings, segments)``.
+def genus_g(g: int = 1) -> Surface:
+    """The closed orientable surface of genus g, g <= MAX_GENUS, built
+    handle by handle with 2-dimensional 0-surgery on a refined sphere.  A
+    handle takes the vertices of its disc pair and adds none, so when no
+    disc pair is left the surface is subdivided once more before the next
+    handle."""
+    if g < 0:
+        raise InvalidManifold("genus must be >= 0")
+    if g > MAX_GENUS:
+        raise InvalidManifold(f"genus must be <= {MAX_GENUS}")
+    from .surgery import GluingMap, InvalidSite, find_disc_pair, surgery_2d_0
 
-    ``sphere`` is the tetrahedron boundary and ``torus`` the 7-vertex minimal
-    triangulation.  ``genus_g`` surfaces, g <= MAX_GENUS, are built
-    handle-by-handle on a refined sphere.  A handle takes the vertices of
-    its disc pair and adds none, so when no disc pair is left the surface is
-    subdivided once more before the next handle.
-    """
-    if kind == "circle":
-        (n,) = args
-        return circle(n)
-    if kind == "two_circles":
-        n, m = args
-        return two_circles(n, m)
-    if kind == "sphere":
-        return tetra_sphere()
-    if kind == "torus":
-        return moebius_kantor_torus()
-    if kind == "genus_g":
-        (g,) = args
-        if g < 0:
-            raise InvalidManifold("genus must be >= 0")
-        if g > MAX_GENUS:
-            raise InvalidManifold(f"genus must be <= {MAX_GENUS}")
-        from .surgery import GluingMap, InvalidSite, find_disc_pair, surgery_2d_0
+    s = subdivide(subdivide(tetra_sphere()))
+    for _ in range(g):
+        try:
+            site = find_disc_pair(s)
+        except InvalidSite:
+            s = subdivide(s)
+            site = find_disc_pair(s)
+        s = surgery_2d_0(s, site, GluingMap())
+    return s
 
-        s = subdivide(subdivide(tetra_sphere()))
-        for _ in range(g):
-            try:
-                site = find_disc_pair(s)
-            except InvalidSite:
-                s = subdivide(s)
-                site = find_disc_pair(s)
-            s = surgery_2d_0(s, site, GluingMap())
-        return s
-    if kind == "globe":
-        n_rings, n_seg = args
-        return globe(n_rings, n_seg)
-    raise ValueError(f"unknown kind {kind!r}")
+
+# The stock manifolds by kind.  A builder's parameters are the sizes of its
+# kind, and their defaults the sizes an unset one takes: ``sphere`` is the
+# tetrahedron boundary, ``torus`` the 7-vertex minimal triangulation.
+STOCK = {"circle": circle, "two_circles": two_circles, "sphere": tetra_sphere,
+         "torus": moebius_kantor_torus, "genus_g": genus_g, "globe": globe}
+
+
+def build_standard(kind: str, *sizes: int) -> "OneManifold | Surface":
+    """The stock manifold of ``kind``, a key of :data:`STOCK`, built from
+    ``sizes`` in the order of its builder's parameters; omitted trailing
+    sizes take the builder's defaults."""
+    if kind not in STOCK:
+        raise ValueError(f"unknown kind {kind!r}")
+    return STOCK[kind](*sizes)

@@ -99,20 +99,19 @@ def _extract_frame(t: float, box: float, resolution: int) -> LevelSetFrame:
                 (ia, ja), (ib, jb) = corners[ca], corners[cb]
                 if signs[ca] != signs[cb]:
                     eid = ((ia, ja), (ib, jb)) if (ia, ja) < (ib, jb) else ((ib, jb), (ia, ja))
-                    crossings.append((eid, interp(ia, ja, ib, jb), ca))
+                    crossings.append((eid, interp(ia, ja, ib, jb)))
             if len(crossings) == 2:
-                segments.append((crossings[0][:2], crossings[1][:2]))
+                segments.append((crossings[0], crossings[1]))
             elif len(crossings) == 4:
-                # ambiguous saddle cell: split by the sign of the centre value
+                # ambiguous saddle cell: split by the sign of the centre
+                # value; the crossings lie on cell edges 0..3 in order
                 cx = 0.25 * sum(vals[a][b] for a, b in corners)
-                # order crossings by the cell edge they lie on (0..3)
-                crossings.sort(key=lambda c: c[2])
                 if (cx > 0) == signs[0]:
                     pairing = [(0, 3), (1, 2)]
                 else:
                     pairing = [(0, 1), (2, 3)]
                 for p, q in pairing:
-                    segments.append((crossings[p][:2], crossings[q][:2]))
+                    segments.append((crossings[p], crossings[q]))
 
     return LevelSetFrame(t=t, box=box, resolution=resolution, polylines=tuple(_chain(segments)))
 

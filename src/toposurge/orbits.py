@@ -273,7 +273,7 @@ def classify_shell(traj: Trajectory) -> ShellClassification:
         spread = float(np.hypot(np.ptp(hs), np.ptp(rs)))
 
     quarter = len(ys) // 4
-    min_return = float(np.linalg.norm(ys[quarter:] - y0, axis=1).min()) if quarter else math.inf
+    min_return = float(disp[quarter:].min()) if quarter else math.inf
 
     evidence = {
         "max_displacement": max_disp,
@@ -421,7 +421,6 @@ def detect_limit_cycle(
     rm = _ReturnMap(p, axis, rtol, atol, t_min=0.25 * revolution)
 
     history: list[float] = []
-    period = 0.0
     for _ in range(MAX_NEWTON_ITERATIONS):
         try:
             pq, period = rm.first_return(q)

@@ -74,6 +74,8 @@ def surgery_1d_0(m: OneManifold, site: CurveSite, g: GluingMap) -> OneManifold:
     (one circle becomes two); with ``orientation_flip=True`` the ends are
     joined crosswise (one circle stays one circle, with a half twist).
     """
+    if len(site.arcs) != 2:
+        raise InvalidSite("1-dimensional site needs exactly 2 arcs")
     a, b = site.arcs
     if a == b:
         raise InvalidSite("site arcs must be distinct")
@@ -84,7 +86,6 @@ def surgery_1d_0(m: OneManifold, site: CurveSite, g: GluingMap) -> OneManifold:
     # node graph: junction ids are assigned per container
     next_node = 0
     ends: dict[int, tuple[int, int]] = {}  # arc -> (tail node, head node)
-    boundary_nodes: list[int] = []
     for cyc in m.cycles:
         base = next_node
         n = len(cyc)
@@ -96,7 +97,6 @@ def surgery_1d_0(m: OneManifold, site: CurveSite, g: GluingMap) -> OneManifold:
         for k, arc in enumerate(ch):
             ends[arc] = (base + k, base + k + 1)
         next_node += len(ch) + 1
-        boundary_nodes.extend((base, base + len(ch)))
 
     u1, u2 = ends[a]
     u3, u4 = ends[b]

@@ -46,13 +46,20 @@ def _scaler(pts: list[tuple[float, float]]):
     ys = [p[1] for p in pts]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    dx = (x1 - x0) or 1.0
-    dy = (y1 - y0) or 1.0
+    if not all(map(math.isfinite, (x0, x1, y0, y1))):
+        raise ValueError("the projected coordinates overflow")
+    # a range wider than the largest float is measured in halves, so that
+    # it stays finite; a factor of 1.0 leaves every bit as it is
+    hx = 0.5 if math.isinf(x1 - x0) else 1.0
+    hy = 0.5 if math.isinf(y1 - y0) else 1.0
+    ox, oy = x0 * hx, y0 * hy
+    dx = (x1 * hx - ox) or 1.0
+    dy = (y1 * hy - oy) or 1.0
     span = CANVAS - 2 * MARGIN
 
     def to_canvas(p):
-        u = MARGIN + (p[0] - x0) / dx * span
-        v = CANVAS - MARGIN - (p[1] - y0) / dy * span
+        u = MARGIN + (p[0] * hx - ox) / dx * span
+        v = CANVAS - MARGIN - (p[1] * hy - oy) / dy * span
         return u, v
 
     return to_canvas, (x0, x1, y0, y1)
@@ -65,11 +72,17 @@ def _path(points: list[tuple[float, float]]) -> str:
 
 
 def _svg(body: list[str]) -> str:
+    """The document: a white canvas, the grey plot frame, then body."""
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(CANVAS)}" '
         f'height="{int(CANVAS)}" viewBox="0 0 {int(CANVAS)} {int(CANVAS)}">'
     )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+    canvas = f'<rect x="0" y="0" width="{int(CANVAS)}" height="{int(CANVAS)}" fill="white"/>'
+    frame = (
+        f'<rect x="{fmt(MARGIN)}" y="{fmt(MARGIN)}" width="{fmt(CANVAS - 2 * MARGIN)}" '
+        f'height="{fmt(CANVAS - 2 * MARGIN)}" fill="none" stroke="#cccccc"/>'
+    )
+    return "\n".join([head, canvas, frame, *body, "</svg>"]) + "\n"
 
 
 def trajectory_svg(
@@ -84,25 +97,16 @@ def trajectory_svg(
     marker_pts = [(lbl, project(s, projection)) for lbl, s in (markers or [])]
     to_canvas, (x0, x1, y0, y1) = _scaler(pts + [p for _, p in marker_pts])
 
-    body = [
-        f'<rect x="0" y="0" width="{int(CANVAS)}" height="{int(CANVAS)}" fill="white"/>',
-        f'<rect x="{fmt(MARGIN)}" y="{fmt(MARGIN)}" width="{fmt(CANVAS - 2 * MARGIN)}" '
-        f'height="{fmt(CANVAS - 2 * MARGIN)}" fill="none" stroke="#cccccc"/>',
-    ]
     xa, ya = _AXIS_LABELS[projection]
-    body.append(
+    body = [
         f'<text x="{fmt(CANVAS / 2)}" y="{fmt(CANVAS - MARGIN / 3)}" '
-        f'text-anchor="middle" font-size="14">{xa} in [{fmt(x0)}, {fmt(x1)}]</text>'
-    )
-    body.append(
+        f'text-anchor="middle" font-size="14">{xa} in [{fmt(x0)}, {fmt(x1)}]</text>',
         f'<text x="{fmt(MARGIN / 3)}" y="{fmt(CANVAS / 2)}" text-anchor="middle" '
         f'font-size="14" transform="rotate(-90 {fmt(MARGIN / 3)} {fmt(CANVAS / 2)})">'
-        f"{ya} in [{fmt(y0)}, {fmt(y1)}]</text>"
-    )
-    body.append(
+        f"{ya} in [{fmt(y0)}, {fmt(y1)}]</text>",
         f'<path d="{_path([to_canvas(p) for p in pts])}" fill="none" '
-        'stroke="#1f5fa8" stroke-width="0.8"/>'
-    )
+        'stroke="#1f5fa8" stroke-width="0.8"/>',
+    ]
     for lbl, p in marker_pts:
         u, v = to_canvas(p)
         body.append(f'<circle cx="{fmt(u)}" cy="{fmt(v)}" r="4" fill="#c03020"/>')
@@ -117,9 +121,6 @@ def frame_svg(frame: LevelSetFrame) -> str:
     b = frame.box
     to_canvas, _ = _scaler([(-b, -b), (b, b)])
     body = [
-        f'<rect x="0" y="0" width="{int(CANVAS)}" height="{int(CANVAS)}" fill="white"/>',
-        f'<rect x="{fmt(MARGIN)}" y="{fmt(MARGIN)}" width="{fmt(CANVAS - 2 * MARGIN)}" '
-        f'height="{fmt(CANVAS - 2 * MARGIN)}" fill="none" stroke="#cccccc"/>',
         f'<text x="{fmt(CANVAS / 2)}" y="{fmt(MARGIN / 2)}" text-anchor="middle" '
         f'font-size="15">x^2 - y^2 = {fmt(frame.t)}'
         f'{" (degenerate)" if frame.degenerate else ""}</text>',

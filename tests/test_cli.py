@@ -541,10 +541,15 @@ def input_files(d: Path) -> dict[str, str]:
         "csv": (GOLDEN / "regiona_t50.csv").read_text(),
         "badcsv": "t,X,Y,Z\n0,1,1,1\n1,oops,1,1\n",
         "nancsv": "t,X,Y,Z\n0,1,1,1\n1,nan,nan,nan\n",
+        # finite rows whose X range is wider than the largest float
+        "hugecsv": "t,X,Y,Z\n0,1e308,1,1\n1,-1e308,2,1\n2,0,3,1\n",
+        # finite rows whose iso projection X - Y overflows
+        "overflowcsv": "t,X,Y,Z\n0,1.7e308,-1.7e308,0\n1,0,0,0\n",
         "deep": "[" * 100_000,
         "infvertices": SURFACE_TEXT % ("1e999", TETRA),
         "floatvertex": json.dumps(complex_to_dict(globe())).replace("[0, 2, 3]", "[0, 2, 3.7]", 1),
         "infarc": '{"kind": "curve", "cycles": [[0, 1e400]]}',
+        "shortrow": '{"kind": "surface", "vertices": 3, "triangles": [[0, 1], [1, 2]]}',
         "file": "not a directory\n",
     }
     paths = {"missing": str(d / "missing"), "under_file": str(d / "file" / "out")}
@@ -647,6 +652,10 @@ UNREAD_BUILD_FLAGS = [
     [DISC_SURGERY[0], "--input", "{floatvertex}", *DISC_SURGERY[3:]],
     ["surgery", "--input", "{infarc}", "--dim", "1", "--site", "0,1"],
     ["plot", "--in", "{nancsv}"],
+    # a triangle row that is not three vertices
+    ["surgery", "--input", "{shortrow}", "--dim", "2", "--site-a", "0", "--site-b", "1"],
+    # finite rows whose projection is not
+    ["plot", "--in", "{overflowcsv}", "--projection", "iso"],
 ])
 def test_bad_input_is_exit_2_with_one_line(tmp_path, argv):
     files = input_files(tmp_path)
@@ -674,6 +683,35 @@ def test_build_names_the_size_flag_its_kind_does_not_read():
                         ("genus_g", ["--g", "1"]), ("globe", ["--rings", "3", "--segments", "6"])]:
         assert run_in_process(["build", "--kind", kind]) == run_in_process(
             ["build", "--kind", kind, *sizes])
+    # the size options, between --kind and --out, in the order the kinds name them
+    code, out, _ = run_in_process(["build", "--help"])
+    assert code == 0
+    assert re.findall(r"^  (--\w+)", out, re.M) == [
+        "--kind", "--n", "--m", "--g", "--rings", "--segments", "--out"]
+
+
+@pytest.mark.parametrize("unset, default", [
+    (["solid-demo", "--kind", "1d0", "--layers", "2"], ["--direction", "forward"]),
+    (["solid-demo", "--kind", "2d1", "--layers", "2"], ["--direction", "forward"]),
+    (["plot", "--in", str(GOLDEN / "regiona_t50.csv")], ["--projection", "iso"]),
+    (["plot", "--in", str(GOLDEN / "regiona_t50.csv"), "--equilibria", "3,3,3"],
+     ["--projection", "iso"]),
+])
+def test_an_unset_option_takes_the_library_default(unset, default):
+    got = run_in_process(unset)
+    assert got[0] == 0 and got == run_in_process(unset + default)
+
+
+@pytest.mark.parametrize("projection", ["xy", "iso"])
+def test_plot_of_a_range_past_float_range_stays_finite(tmp_path, projection):
+    files = input_files(tmp_path)
+    code, out, err = run_in_process(["plot", "--in", files["hugecsv"], "--projection", projection])
+    assert (code, err) == (0, "")
+    path = re.search(r'<path d="([^"]*)"', out).group(1)
+    coords = [float(x) for x in _FLOAT.findall(path)]
+    assert len(coords) == 6
+    assert all(60 <= c <= 580 for c in coords)
+    assert "nan" not in out and "inf" not in out
 
 
 HOSTILE = ["nan", "inf", "-1", "0", "abc", "", "1,2"]
@@ -747,7 +785,8 @@ COMMANDS = {
     "solid-demo": [{"--kind": (["1d0", "2d0", "2d1"], ["abc"]),
                     "--layers": ([OMIT, "1", "5"], SIZE),
                     "--direction": ([OMIT, "forward", "dual"], ["abc"]), **OUT}],
-    "plot": [{"--in": (["{csv}"], FILES[1] + ["{badcsv}", "{nancsv}", "{surface}"]),
+    "plot": [{"--in": (["{csv}"], FILES[1] + ["{badcsv}", "{nancsv}", "{hugecsv}",
+                                               "{overflowcsv}", "{surface}"]),
               "--projection": ([OMIT, "xy", "iso"], ["abc"]),
               "--equilibria": ([OMIT, "3,3,3", "2.9851,3,3"], HOSTILE), **OUT}],
 }

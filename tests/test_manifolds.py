@@ -60,6 +60,11 @@ def test_build_standard_dispatch():
     assert invariants(build_standard("torus")).genus == (1,)
     assert len(build_standard("circle", 6).cycles[0]) == 6
     assert len(build_standard("two_circles", 4, 4).cycles) == 2
+    # omitted sizes take the builder's defaults
+    assert build_standard("circle") == circle(6)
+    assert build_standard("two_circles", 4) == two_circles(4, 6)
+    assert build_standard("globe") == globe(3, 6)
+    assert invariants(build_standard("genus_g")).genus == (1,)
     with pytest.raises(ValueError):
         build_standard("klein")
     with pytest.raises(InvalidManifold):
@@ -184,6 +189,17 @@ def test_surface_validation_rejects_junk():
         Surface(4, ((0, 1, 1), (0, 2, 3)))  # degenerate triangle
     with pytest.raises(InvalidManifold):
         Surface(5, tetra_sphere().triangles)  # unused vertex index
+
+
+@pytest.mark.parametrize("triangles, bad", [
+    (((0, 1, 2, 3), (0, 1)), 0),
+    (((0, 1, 2), (0, 1)), 1),
+    (((0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3)), 3),
+    (((0, 1, 2), 5), 1),
+])
+def test_a_triangle_row_of_the_wrong_length_is_named(triangles, bad):
+    with pytest.raises(InvalidManifold, match=f"^triangle {bad} does not have 3 vertices$"):
+        Surface(4, triangles)
 
 
 def test_vertex_count_is_checked_before_anything_is_sized_by_it():

@@ -161,6 +161,12 @@ def test_curve_site_errors():
         surgery_1d_0(m, CurveSite((1, 2)), GluingMap())  # adjacent arcs
 
 
+@pytest.mark.parametrize("arcs", [(1,), (1, 2, 5), ()])
+def test_curve_site_of_the_wrong_length_is_an_invalid_site(arcs):
+    with pytest.raises(InvalidSite, match="^1-dimensional site needs exactly 2 arcs$"):
+        surgery_1d_0(circle(8), CurveSite(arcs), GluingMap())
+
+
 def test_surgery_on_chains_reconnects_segments():
     from toposurge.manifolds import OneManifold
 
