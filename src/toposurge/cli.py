@@ -252,9 +252,13 @@ def cmd_morse_frames(args) -> int:
     return 0
 
 
+# solid-demo's --kind names each of solid.KINDS without "solid_" and "_"
+_SOLID_KINDS = {k.removeprefix("solid_").replace("_", ""): k for k in solid.KINDS}
+
+
 def cmd_solid_demo(args) -> int:
-    kind = {"1d0": "solid_1d_0", "2d0": "solid_2d_0", "2d1": "solid_2d_1"}[args.kind]
-    fam_in, fam_out = solid.solid_surgery(kind, args.layers, **_given(args, "direction"))
+    fam_in, fam_out = solid.solid_surgery(
+        _SOLID_KINDS[args.kind], args.layers, **_given(args, "direction"))
     rep_in = solid.cross_section_check(fam_in)
     rep_out = solid.cross_section_check(fam_out)
     doc = {
@@ -375,7 +379,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_morse_frames)
 
     sp = sub.add_parser("solid-demo", help="layered surgery family with limits")
-    sp.add_argument("--kind", choices=("1d0", "2d0", "2d1"), required=True)
+    sp.add_argument("--kind", choices=tuple(_SOLID_KINDS), required=True)
     sp.add_argument("--layers", type=int, default=5)
     sp.add_argument("--direction", choices=solid.DIRECTIONS)
     sp.add_argument("--out")

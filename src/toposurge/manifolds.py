@@ -51,29 +51,20 @@ class OneManifold:
 
     def __post_init__(self):
         seen = set()
-        for cyc in self.cycles:
-            if len(cyc) < 2:
-                raise InvalidManifold(f"cycle {cyc} has fewer than 2 arcs")
-            for a in cyc:
-                if a in seen:
-                    raise InvalidManifold(f"arc {a} appears more than once")
-                seen.add(a)
-        for ch in self.chains:
-            if len(ch) < 1:
+        n_cycles = len(self.cycles)
+        for i, path in enumerate(self.cycles + self.chains):
+            if i < n_cycles and len(path) < 2:
+                raise InvalidManifold(f"cycle {path} has fewer than 2 arcs")
+            if not path:
                 raise InvalidManifold("empty chain")
-            for a in ch:
+            for a in path:
                 if a in seen:
                     raise InvalidManifold(f"arc {a} appears more than once")
                 seen.add(a)
 
     @property
     def arcs(self) -> frozenset[int]:
-        out = set()
-        for cyc in self.cycles:
-            out.update(cyc)
-        for ch in self.chains:
-            out.update(ch)
-        return frozenset(out)
+        return frozenset().union(*self.cycles, *self.chains)
 
 
 def circle(n: int = 6) -> OneManifold:
@@ -350,7 +341,7 @@ def globe(rings: int = 3, segments: int = 6) -> Surface:
     annulus sites.
     """
     if rings < 3 or segments < 3:
-        raise InvalidManifold("globe needs n_rings >= 3 and n_seg >= 3")
+        raise InvalidManifold("globe needs rings >= 3 and segments >= 3")
     _check_cells(2 * rings * segments, "globe")
     ring = lambda j, i: 2 + j * segments + (i % segments)
     tris: list[Triangle] = []
@@ -365,19 +356,19 @@ def globe(rings: int = 3, segments: int = 6) -> Surface:
     return Surface(2 + rings * segments, tuple(tris))
 
 
-def globe_north_cap(n_seg: int = 6) -> tuple[int, ...]:
-    return tuple(range(n_seg))
+def globe_north_cap(segments: int = 6) -> tuple[int, ...]:
+    return tuple(range(segments))
 
 
-def globe_south_cap(n_rings: int = 3, n_seg: int = 6) -> tuple[int, ...]:
-    total = n_seg + 2 * n_seg * (n_rings - 1) + n_seg
-    return tuple(range(total - n_seg, total))
+def globe_south_cap(rings: int = 3, segments: int = 6) -> tuple[int, ...]:
+    total = segments + 2 * segments * (rings - 1) + segments
+    return tuple(range(total - segments, total))
 
 
-def globe_band(j: int, n_seg: int = 6) -> tuple[int, ...]:
+def globe_band(j: int, segments: int = 6) -> tuple[int, ...]:
     """Triangle indices of the latitude band between ring j and ring j+1."""
-    start = n_seg + 2 * n_seg * j
-    return tuple(range(start, start + 2 * n_seg))
+    start = segments + 2 * segments * j
+    return tuple(range(start, start + 2 * segments))
 
 
 # ---------------------------------------------------------------------------

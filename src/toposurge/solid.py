@@ -72,6 +72,8 @@ def classify_layer(m: Union[OneManifold, Surface]) -> str:
     """Name the homeomorphism type of a layer from its invariants."""
     rep = invariants(m)
     if isinstance(m, OneManifold):
+        if rep.euler_characteristic != 0:  # a chain counts 1, a cycle 0
+            return "other"
         if rep.components == 1:
             return "circle"
         if rep.components == 2:

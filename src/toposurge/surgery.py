@@ -2,7 +2,13 @@
 
 1-dimensional 0-surgery removes two arcs from a curve and reconnects the
 four loose ends either straight (two circles from one) or crosswise (one
-circle).  2-dimensional 0-surgery swaps a pair of disc sites for a tube;
+circle).  It works on one junction map, the same for circles and
+segments: each arc goes from its tail junction to its head junction, a
+junction is named by the arc that leaves it, and a segment's far end by
+a 1-tuple of its last arc.  Surgery swaps the two site arcs of the map
+for two fresh ones, and one walk reads the curve back.
+
+2-dimensional 0-surgery swaps a pair of disc sites for a tube;
 2-dimensional 1-surgery swaps an annulus site for two cone caps.  Both are
 built on the boundary cycles that site validation returns: a hole's
 boundary is its site's cycle run the other way, so the discs' boundaries
@@ -79,94 +85,74 @@ def surgery_1d_0(m: OneManifold, site: CurveSite, g: GluingMap) -> OneManifold:
     a, b = site.arcs
     if a == b:
         raise InvalidSite("site arcs must be distinct")
-    arcs = m.arcs
-    if a not in arcs or b not in arcs:
+    ends = _junctions(m)
+    if a not in ends or b not in ends:
         raise InvalidSite("site arcs missing from the manifold")
-
-    # node graph: junction ids are assigned per container
-    next_node = 0
-    ends: dict[int, tuple[int, int]] = {}  # arc -> (tail node, head node)
-    for cyc in m.cycles:
-        base = next_node
-        n = len(cyc)
-        for k, arc in enumerate(cyc):
-            ends[arc] = (base + k, base + (k + 1) % n)
-        next_node += n
-    for ch in m.chains:
-        base = next_node
-        for k, arc in enumerate(ch):
-            ends[arc] = (base + k, base + k + 1)
-        next_node += len(ch) + 1
-
-    u1, u2 = ends[a]
-    u3, u4 = ends[b]
+    fresh = max(ends) + 1
+    u1, u2 = ends.pop(a)
+    u3, u4 = ends.pop(b)
     if {u1, u2} & {u3, u4}:
         raise InvalidSite("site arcs are adjacent; removed segments must be disjoint")
-
-    fresh = max(arcs) + 1
-    adj: dict[int, list[tuple[int, int]]] = {}  # node -> [(arc, other node)]
-    for arc, (t, h) in ends.items():
-        if arc in (a, b):
-            continue
-        adj.setdefault(t, []).append((arc, h))
-        adj.setdefault(h, []).append((arc, t))
     if g.orientation_flip:
-        joins = [(u1, u3), (u2, u4)]
+        ends[fresh], ends[fresh + 1] = (u1, u3), (u2, u4)
     else:
-        joins = [(u2, u3), (u4, u1)]
-    for arc_id, (x, y) in zip((fresh, fresh + 1), joins):
-        adj.setdefault(x, []).append((arc_id, y))
-        adj.setdefault(y, []).append((arc_id, x))
-
-    return _rebuild_curve(adj)
+        ends[fresh], ends[fresh + 1] = (u2, u3), (u4, u1)
+    return _curve(ends)
 
 
-def _rebuild_curve(adj: dict[int, list[tuple[int, int]]]) -> OneManifold:
-    cycles: list[tuple[int, ...]] = []
-    chains: list[tuple[int, ...]] = []
-    visited_arcs: set[int] = set()
+def _junctions(m: OneManifold) -> dict[int, tuple]:
+    """Each arc of m mapped to its (tail, head) junction.
 
-    # walk open paths first (starting at degree-1 nodes), then leftover
-    # cycles; the output is canonical and sorted, so the walk order is free
-    for s, arcs in adj.items():
-        if len(arcs) == 1:
-            path = _walk(adj, s, visited_arcs)
-            if path:
-                chains.append(_canonical_chain(path))
-    for n, arcs in adj.items():
-        for arc, _ in arcs:
-            if arc not in visited_arcs:
-                cycles.append(_canonical_cycle(_walk(adj, n, visited_arcs)))
-    cycles.sort()
-    chains.sort()
-    return OneManifold(tuple(cycles), tuple(chains))
+    A junction is named by the arc that leaves it, so an arc's tail is its
+    own id.  The free end of a chain's last arc x has no arc leaving it and
+    is named ``(x,)``, a tuple that no arc id equals.
+    """
+    ends: dict[int, tuple] = {}
+    n_cycles = len(m.cycles)
+    for i, path in enumerate(m.cycles + m.chains):
+        last = path[0] if i < n_cycles else (path[-1],)
+        ends.update(zip(path, zip(path, path[1:] + (last,))))
+    return ends
 
 
-def _walk(adj, start: int, visited_arcs: set[int]) -> list[int]:
-    out: list[int] = []
-    node = start
-    while True:
-        for arc, other in adj[node]:
-            if arc not in visited_arcs:
-                break
-        else:
-            return out
-        visited_arcs.add(arc)
-        out.append(arc)
-        node = other
+def _curve(ends: dict[int, tuple]) -> OneManifold:
+    """The curve whose arcs join the junctions of ``ends``, in canonical form.
 
+    The chains are walked from their free ends (the junctions that only one
+    arc meets), then what is left is walked as cycles.  Each chain reads
+    from its lesser end arc, each cycle from its least arc toward the lesser
+    of its two neighbours, and both lists are sorted, so the result does not
+    depend on the way the walk ran.
+    """
+    at: dict = {}  # junction -> the arcs that meet there
+    for arc, (t, h) in ends.items():
+        at.setdefault(t, []).append(arc)
+        at.setdefault(h, []).append(arc)
+    seen: set[int] = set()
 
-def _canonical_cycle(cyc: list[int]) -> tuple[int, ...]:
-    # arcs are distinct, so the least rotation, either way round, starts at
-    # the least arc
-    i = cyc.index(min(cyc))
-    fwd = cyc[i:] + cyc[:i]
-    return tuple(min(fwd, fwd[:1] + fwd[:0:-1]))
+    def walk(arc, node) -> list[int]:
+        """The arcs met leaving junction ``node`` along ``arc``, up to a free
+        end or back to an arc already walked."""
+        path = []
+        while arc not in seen:
+            seen.add(arc)
+            path.append(arc)
+            t, h = ends[arc]
+            node = h if node == t else t
+            arc = next((x for x in at[node] if x != arc), arc)
+        return path
 
-
-def _canonical_chain(ch: list[int]) -> tuple[int, ...]:
-    rev = ch[::-1]
-    return tuple(min(ch, rev))
+    chains = []
+    for node, arcs in at.items():
+        if len(arcs) == 1 and arcs[0] not in seen:
+            path = walk(arcs[0], node)
+            chains.append(tuple(min(path, path[::-1])))
+    cycles = []
+    for arc in sorted(ends):  # so each cycle is entered at its least arc
+        if arc not in seen:
+            path = walk(arc, ends[arc][0])
+            cycles.append(tuple(min(path, path[:1] + path[:0:-1])))
+    return OneManifold(tuple(sorted(cycles)), tuple(sorted(chains)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ inputs give byte-identical files, which is what the golden-file tests need.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 from .morse import LevelSetFrame
 from .serialize import fmt
@@ -15,30 +15,17 @@ from .serialize import fmt
 CANVAS = 640.0
 MARGIN = 60.0
 
-PROJECTIONS = ("xy", "xz", "yz", "iso")
-
 _SQ3_2 = math.sqrt(3.0) / 2.0
 
-
-def project(state: Sequence[float], projection: str) -> tuple[float, float]:
-    x, y, z = state[0], state[1], state[2]
-    if projection == "xy":
-        return x, y
-    if projection == "xz":
-        return x, z
-    if projection == "yz":
-        return y, z
-    if projection == "iso":
-        return (x - y) * _SQ3_2, z + 0.5 * (x + y)
-    raise ValueError(f"unknown projection {projection!r}")
-
-
-_AXIS_LABELS = {
-    "xy": ("X", "Y"),
-    "xz": ("X", "Z"),
-    "yz": ("Y", "Z"),
-    "iso": ("(X-Y)*sqrt(3)/2", "Z+(X+Y)/2"),
+# name -> (axis labels, map of (x, y, z) to the plane)
+_PROJECTIONS = {
+    "xy": (("X", "Y"), lambda x, y, z: (x, y)),
+    "xz": (("X", "Z"), lambda x, y, z: (x, z)),
+    "yz": (("Y", "Z"), lambda x, y, z: (y, z)),
+    "iso": (("(X-Y)*sqrt(3)/2", "Z+(X+Y)/2"),
+            lambda x, y, z: ((x - y) * _SQ3_2, z + 0.5 * (x + y))),
 }
+PROJECTIONS = tuple(_PROJECTIONS)
 
 
 def _scaler(pts: list[tuple[float, float]]):
@@ -91,13 +78,13 @@ def trajectory_svg(
     markers: Optional[list[tuple[str, tuple[float, float, float]]]] = None,
 ) -> str:
     """Polyline phase portrait of CSV rows (t, X, Y, Z)."""
-    if projection not in PROJECTIONS:
+    if projection not in _PROJECTIONS:
         raise ValueError(f"unknown projection {projection!r}")
-    pts = [project(r[1:], projection) for r in rows]
-    marker_pts = [(lbl, project(s, projection)) for lbl, s in (markers or [])]
+    (xa, ya), to_plane = _PROJECTIONS[projection]
+    pts = [to_plane(*r[1:4]) for r in rows]
+    marker_pts = [(lbl, to_plane(*s[:3])) for lbl, s in (markers or [])]
     to_canvas, (x0, x1, y0, y1) = _scaler(pts + [p for _, p in marker_pts])
 
-    xa, ya = _AXIS_LABELS[projection]
     body = [
         f'<text x="{fmt(CANVAS / 2)}" y="{fmt(CANVAS - MARGIN / 3)}" '
         f'text-anchor="middle" font-size="14">{xa} in [{fmt(x0)}, {fmt(x1)}]</text>',

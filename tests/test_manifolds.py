@@ -171,6 +171,12 @@ def test_globe_and_its_sites():
     assert max(caps) < len(s.triangles)
 
 
+@pytest.mark.parametrize("sizes", [(2, 6), (3, 2)])
+def test_too_small_a_globe_names_its_parameters(sizes):
+    with pytest.raises(InvalidManifold, match=r"^globe needs rings >= 3 and segments >= 3$"):
+        globe(*sizes)
+
+
 def test_arc_uniqueness_enforced():
     with pytest.raises(InvalidManifold):
         OneManifold(cycles=((0, 1), (1, 2)))

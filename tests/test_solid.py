@@ -1,6 +1,6 @@
 import pytest
 
-from toposurge.manifolds import build_standard
+from toposurge.manifolds import OneManifold, build_standard
 from toposurge.solid import (
     KINDS,
     Layer,
@@ -109,3 +109,14 @@ def test_layer_without_a_section_rule_is_refused():
                       "circle")
     with pytest.raises(ValueError, match=r"^layer type 'other' has no section rule$"):
         cross_section_check(fam)
+
+
+@pytest.mark.parametrize("cycles, chains", [
+    ((), ((0, 1),)),
+    ((), ((0, 1), (2,))),
+    (((0, 1, 2),), ((3, 4),)),
+])
+def test_a_curve_with_a_chain_is_no_circle(cycles, chains):
+    """A chain counts 1 in a curve's Euler characteristic, a cycle 0: only
+    a curve of cycles alone is named by its number of circles."""
+    assert classify_layer(OneManifold(cycles, chains)) == "other"

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from toposurge import surgery
 from toposurge.manifolds import (
     InvalidManifold,
     InvariantReport,
+    OneManifold,
     Surface,
     circle,
     globe,
@@ -168,8 +170,6 @@ def test_curve_site_of_the_wrong_length_is_an_invalid_site(arcs):
 
 
 def test_surgery_on_chains_reconnects_segments():
-    from toposurge.manifolds import OneManifold
-
     m = OneManifold(cycles=(), chains=((0, 1, 2), (3, 4, 5)))
     out = surgery_1d_0(m, CurveSite((1, 4)), GluingMap())
     rep = invariants(out)
@@ -181,6 +181,121 @@ def test_surgery_on_chains_reconnects_segments():
 def test_output_cycles_have_min_length():
     out = surgery_1d_0(circle(4), CurveSite((0, 2)), GluingMap())
     assert all(len(c) >= 2 for c in out.cycles)
+
+
+def _reference_curve_surgery(cycles, chains, a, b, flip):
+    """surgery_1d_0's (cycles, chains) or refusal message at site (a, b),
+    found without walking: each arc's two endpoints are numbered, the
+    endpoints that meet are merged by union-find, and each component is
+    read off the neighbour sets of its arcs, then put in canonical form by
+    trying every rotation and both directions."""
+    if a == b:
+        return "site arcs must be distinct"
+    ids = [x for path in cycles + chains for x in path]
+    if a not in ids or b not in ids:
+        return "site arcs missing from the manifold"
+    parent = {}
+
+    def find(p):
+        while parent.setdefault(p, p) != p:
+            p = parent[p]
+        return p
+
+    def union(p, q):
+        parent[find(p)] = find(q)
+
+    # endpoint (x, 0) is arc x's tail and (x, 1) its head
+    for path in cycles:
+        for k, x in enumerate(path):
+            union((x, 1), (path[(k + 1) % len(path)], 0))
+    for path in chains:
+        for x, y in zip(path, path[1:]):
+            union((x, 1), (y, 0))
+    if {find((a, 0)), find((a, 1))} & {find((b, 0)), find((b, 1))}:
+        return "site arcs are adjacent; removed segments must be disjoint"
+    f = max(ids) + 1
+    joins = [((a, 0), (b, 0)), ((a, 1), (b, 1))] if flip else [((a, 1), (b, 0)), ((b, 1), (a, 0))]
+    for x, (p, q) in zip((f, f + 1), joins):
+        union((x, 0), p)
+        union((x, 1), q)
+    kept = [x for x in ids if x not in (a, b)] + [f, f + 1]
+
+    meet = {}  # point of the curve -> the kept arcs with an end there
+    for x in kept:
+        meet.setdefault(find((x, 0)), []).append(x)
+        meet.setdefault(find((x, 1)), []).append(x)
+    nbrs = {x: set() for x in kept}
+    for xs in meet.values():
+        for x in xs:
+            nbrs[x].update(y for y in xs if y != x)
+    free = {xs[0] for xs in meet.values() if len(xs) == 1}
+    for x in kept:  # now one class per component
+        union((x, 0), (x, 1))
+    comps = {}
+    for x in kept:
+        comps.setdefault(find((x, 0)), set()).add(x)
+
+    out_cycles, out_chains = [], []
+    for comp in comps.values():
+        seq = [min(comp & free or comp)]
+        while len(seq) < len(comp):
+            seq.append(min(nbrs[seq[-1]] - set(seq)))
+        if comp & free:
+            out_chains.append(min(tuple(seq), tuple(seq[::-1])))
+        else:
+            turns = [seq[k:] + seq[:k] for k in range(len(seq))]
+            out_cycles.append(min(tuple(t) for s in turns for t in (s, s[::-1])))
+    return tuple(sorted(out_cycles)), tuple(sorted(out_chains))
+
+
+def _curve_shapes(max_arcs):
+    """(cycle lengths, chain lengths) of every curve of at most max_arcs
+    arcs, each cycle at least 2 arcs long and each chain at least 1."""
+    def lengths(n, least, cap):
+        if n == 0:
+            yield ()
+        for k in range(min(n, cap), least - 1, -1):
+            for rest in lengths(n - k, least, k):
+                yield (k,) + rest
+
+    for n in range(1, max_arcs + 1):
+        for c in range(n + 1):
+            for cyc in lengths(c, 2, c):
+                for ch in lengths(n - c, 1, n - c):
+                    yield cyc, ch
+
+
+def test_curve_surgery_matches_the_endpoint_reference():
+    """Every curve of at most 7 arcs, with ids in order and shuffled with
+    negative values, at every ordered pair of its arcs and one missing id,
+    under both gluings."""
+    rnd = random.Random(19)
+    cases = 0
+    for cyc_lengths, chain_lengths in _curve_shapes(7):
+        n = sum(cyc_lengths) + sum(chain_lengths)
+        for ids in (list(range(n)), rnd.sample(range(-2 * n, 2 * n), n)):
+            it = iter(ids)
+            cycles = tuple(tuple(next(it) for _ in range(k)) for k in cyc_lengths)
+            chains = tuple(tuple(next(it) for _ in range(k)) for k in chain_lengths)
+            m = OneManifold(cycles, chains)
+            probe = ids + [max(ids) + 1]
+            for a, b, flip in itertools.product(probe, probe, (False, True)):
+                want = _reference_curve_surgery(cycles, chains, a, b, flip)
+                try:
+                    out = surgery_1d_0(m, CurveSite((a, b)), GluingMap(orientation_flip=flip))
+                    got = (out.cycles, out.chains)
+                except InvalidSite as exc:
+                    got = str(exc)
+                assert got == want, (m, a, b, flip)
+                cases += 1
+    assert cases > 10_000
+
+
+def test_a_chain_end_is_no_arc_of_the_same_name():
+    """A chain's free end must not take the name of the arc -x-1."""
+    m = OneManifold(((-1, 5, 6, 7),), ((0,),))
+    out = surgery_1d_0(m, CurveSite((5, 7)), GluingMap())
+    assert (out.cycles, out.chains) == (((-1, 9), (6, 8)), ((0,),))
 
 
 # ---------------------------------------------------------------------------
