@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import re
 import sys
 from dataclasses import asdict
 
@@ -25,17 +26,13 @@ from .orbits import (
 )
 from .serialize import (
     atomic_write_text,
-    classification_to_dict,
     complex_from_dict,
     complex_to_dict,
-    crossings_to_dict,
     cycle_failure_to_dict,
     dumps,
     equilibrium_to_dict,
     family_to_dict,
     fmt,
-    frame_to_dict,
-    invariants_to_dict,
     limit_cycle_to_dict,
     read_trajectory_csv,
     section_report_to_dict,
@@ -101,7 +98,7 @@ def _reject_unread(args, names, where: str) -> None:
 
 
 def _emit_complex(m, out: str | None) -> None:
-    doc = {"complex": complex_to_dict(m), "invariants": invariants_to_dict(invariants(m))}
+    doc = {"complex": complex_to_dict(m), "invariants": asdict(invariants(m))}
     _emit(dumps(doc), out)
 
 
@@ -150,7 +147,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_classify_shell(args) -> int:
     traj = _orbit(args)
-    doc = classification_to_dict(classify_shell(traj))
+    doc = asdict(classify_shell(traj))
     doc["params"] = asdict(traj.params)
     doc["ic"] = traj.states[0].tolist()
     doc["t_end"] = args.t_end
@@ -161,7 +158,9 @@ def cmd_classify_shell(args) -> int:
 def cmd_poincare(args) -> int:
     point = _triple(args.plane_point, "--plane-point")
     normal = _triple(args.plane_normal, "--plane-normal")
-    _emit(dumps(crossings_to_dict(poincare(_orbit(args), point, normal))), args.out)
+    crossings = poincare(_orbit(args), point, normal)
+    doc = {"count": len(crossings), "crossings": [asdict(c) for c in crossings]}
+    _emit(dumps(doc), args.out)
     return 0
 
 
@@ -243,7 +242,8 @@ def cmd_morse_frames(args) -> int:
         raise ValueError("--out-dir does not apply to --format json; use --out")
     frames = morse.morse_frames(args.t, **_given(args, "box", "resolution"))
     if args.format == "json":
-        doc = {"frames": [frame_to_dict(f) for f in frames]}
+        doc = {"frames": [{**asdict(f), "degenerate": f.degenerate,
+                           "branch_count": f.branch_count} for f in frames]}
         _emit(dumps(doc), args.out)
     else:
         for i, f in enumerate(frames):
@@ -302,7 +302,15 @@ def _add_param_args(sp, with_ic=False, with_t_end=True):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a bad command line as a ValueError, for main to report."""
+    """Raises a bad command line as a ValueError, for main to report.
+
+    A token that starts with "-" and a digit or "." is a value, as in
+    --ic -1,0,0 or --t -1e-3: argparse alone takes only a plain negative
+    integer or decimal for one.  No option of this CLI starts that way."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise ValueError(message)

@@ -149,9 +149,9 @@ def integrate(
     atol: float = 1e-12,
     stop: Callable[[float, float, float, float], bool] | None = None,
 ) -> Trajectory:
-    """Integrate from t = 0 to a finite t_end > 0, recording every accepted
-    step; any other t_end, or a tolerance outside [1e-13, 1e-3], raises
-    ValueError.
+    """Integrate from a finite state ic at t = 0 to a finite t_end > 0,
+    recording every accepted step; a non-finite ic, any other t_end, or a
+    tolerance outside [1e-13, 1e-3] raises ValueError.
 
     A run may take at most 5,000,000 steps, accepted plus rejected.  Every
     65,536 steps the budget is projected from the average step so far: if
@@ -165,6 +165,9 @@ def integrate(
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
+    y0 = tuple(float(v) for v in ic)
+    if not all(map(math.isfinite, y0)):
+        raise ValueError("the initial state must be finite")
     if not (_TOL_MIN <= rtol <= _TOL_MAX) or not (_TOL_MIN <= atol <= _TOL_MAX):
         raise ValueError("tolerances must lie in [1e-13, 1e-3]")
 
@@ -181,7 +184,6 @@ def integrate(
     ) = _A
     e0, _, e2, e3, e4, e5, e6 = _E
 
-    y0 = tuple(float(v) for v in ic)
     t = 0.0
     f = rhs(y0, p)
     h = _initial_step(f, y0, p, rtol, atol)

@@ -62,10 +62,6 @@ class OneManifold:
                     raise InvalidManifold(f"arc {a} appears more than once")
                 seen.add(a)
 
-    @property
-    def arcs(self) -> frozenset[int]:
-        return frozenset().union(*self.cycles, *self.chains)
-
 
 def circle(n: int = 6) -> OneManifold:
     if n < 2:

@@ -311,7 +311,6 @@ class LimitCycleNotFound(RuntimeError):
 
 @dataclass(frozen=True)
 class LimitCycle:
-    params: SystemParams
     anchor: Vec3
     period: float
     loop_t: np.ndarray        # (n,) float64, read-only
@@ -421,11 +420,16 @@ def detect_limit_cycle(
     rm = _ReturnMap(p, axis, rtol, atol, t_min=0.25 * revolution)
 
     history: list[float] = []
-    for _ in range(MAX_NEWTON_ITERATIONS):
+
+    def first_return(q):
+        """rm.first_return, a failed return carrying the residuals so far."""
         try:
-            pq, period = rm.first_return(q)
+            return rm.first_return(q)
         except LimitCycleNotFound as exc:
             raise LimitCycleNotFound(str(exc), tuple(history)) from exc
+
+    for _ in range(MAX_NEWTON_ITERATIONS):
+        pq, period = first_return(q)
         f = pq - q
         res = float(np.linalg.norm(f))
         history.append(res)
@@ -445,7 +449,7 @@ def detect_limit_cycle(
         for col in range(2):
             dq = q.copy()
             dq[col] += delta
-            pq_d, _ = rm.first_return(dq)
+            pq_d, _ = first_return(dq)
             jac[:, col] = (pq_d - pq) / delta
         a = jac - np.eye(2)
         try:
@@ -476,7 +480,6 @@ def _package_cycle(p, rm, q, period, res, history, rtol, atol) -> LimitCycle:
     anchor = rm.embed(q)
     loop = integrate(p, anchor, period, rtol=rtol, atol=atol)
     return LimitCycle(
-        params=p,
         anchor=anchor,
         period=period,
         loop_t=loop.t,

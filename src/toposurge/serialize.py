@@ -1,7 +1,9 @@
 """File formats: complex JSON, report JSON, trajectory CSV, atomic writes.
 
-All floats are emitted with 12 significant digits and all JSON keys are
-sorted, so identical invocations produce byte-identical files.
+fmt prints a float with 12 significant digits: the trajectory CSV, SVG
+and ``equilibria`` text use it.  JSON numbers are Python's shortest
+round-trip form (``repr``).  JSON keys are sorted, so identical invocations
+produce byte-identical files.
 
 Complex schema, every count and id a JSON integer:
     {"kind": "surface", "vertices": N, "triangles": [[i, j, k], ...]}
@@ -20,9 +22,8 @@ from typing import Union
 
 from .dynamics import EquilibriumReport, SlowManifold
 from .integrate import Trajectory, resample
-from .manifolds import InvariantReport, OneManifold, Surface
-from .morse import LevelSetFrame
-from .orbits import LimitCycle, SectionCrossing, ShellClassification
+from .manifolds import OneManifold, Surface
+from .orbits import LimitCycle
 from .solid import SectionReport, SolidFamily
 
 
@@ -106,15 +107,6 @@ def complex_from_dict(d: dict) -> Union[OneManifold, Surface]:
     raise ValueError(f"unknown complex kind {kind!r}")
 
 
-def invariants_to_dict(rep: InvariantReport) -> dict:
-    return {
-        "components": rep.components,
-        "euler_characteristic": rep.euler_characteristic,
-        "orientable": rep.orientable,
-        "genus": list(rep.genus) if rep.genus is not None else None,
-    }
-
-
 # ---------------------------------------------------------------------------
 # dynamics reports
 # ---------------------------------------------------------------------------
@@ -147,27 +139,6 @@ def slow_manifold_to_dict(sm: SlowManifold) -> dict:
     }
 
 
-def classification_to_dict(c: ShellClassification) -> dict:
-    return {
-        "verdict": c.verdict,
-        "evidence": {k: float(v) for k, v in sorted(c.evidence.items())},
-    }
-
-
-def crossings_to_dict(crossings: list[SectionCrossing]) -> dict:
-    return {
-        "count": len(crossings),
-        "crossings": [
-            {
-                "t": float(c.t),
-                "state": [float(x) for x in c.state],
-                "direction": c.direction,
-            }
-            for c in crossings
-        ],
-    }
-
-
 def limit_cycle_to_dict(lc: LimitCycle) -> dict:
     return {
         "converged": True,
@@ -188,7 +159,7 @@ def cycle_failure_to_dict(message: str, history) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# solid families and frames
+# solid families
 # ---------------------------------------------------------------------------
 
 def family_to_dict(f: SolidFamily) -> dict:
@@ -223,19 +194,6 @@ def section_report_to_dict(rep: SectionReport) -> dict:
                 "match": e.match,
             }
             for e in rep.entries
-        ],
-    }
-
-
-def frame_to_dict(f: LevelSetFrame) -> dict:
-    return {
-        "t": float(f.t),
-        "box": float(f.box),
-        "resolution": f.resolution,
-        "degenerate": f.degenerate,
-        "branch_count": f.branch_count,
-        "polylines": [
-            [[float(x), float(y)] for x, y in pl] for pl in f.polylines
         ],
     }
 

@@ -467,6 +467,16 @@ def test_poincare_normal_of_any_finite_scale_is_the_same_plane():
     assert code == 2 and out == "" and err == "error: plane normal must be nonzero\n"
 
 
+def test_a_value_may_start_with_a_minus_sign():
+    argv = ["poincare", *P3, "--ic", "1,1.3,0.89", "--t-end", "20", "--plane-point", "1,1,1"]
+    code, want, err = run_in_process(argv + ["--plane-normal=-1,0,0"])
+    assert code == 0 and err == "" and json.loads(want)["count"] > 10
+    assert run_in_process(argv + ["--plane-normal", "-1,0,0"]) == (0, want, "")
+    code, out, err = run_in_process(["morse-frames", "--t", "-1e-3", "0", "--resolution", "8"])
+    assert (code, err) == (0, "")
+    assert [f["t"] for f in json.loads(out)["frames"]] == [-1e-3, 0.0]
+
+
 def test_limit_cycle_failure_is_exit_1_with_report(capsys):
     code, out, err = run(
         ["limit-cycle", "--A", "3", "--B", "3", "--C", "3", "--ic", "1,1.3,0.89",
@@ -656,6 +666,11 @@ UNREAD_BUILD_FLAGS = [
     ["surgery", "--input", "{shortrow}", "--dim", "2", "--site-a", "0", "--site-b", "1"],
     # finite rows whose projection is not
     ["plot", "--in", "{overflowcsv}", "--projection", "iso"],
+    # a start that is not finite, in every command that integrates
+    ["simulate", *P3, "--ic", "1,-inf,1", "--t-end", "1"],
+    ["classify-shell", *P3, "--ic", "nan,1,1"],
+    ["poincare", *P3, "--ic", "1,1,nan", "--plane-point", "1,1,1", "--plane-normal", "1,0,0"],
+    ["limit-cycle", *P3, "--ic", "inf,1,1"],
 ])
 def test_bad_input_is_exit_2_with_one_line(tmp_path, argv):
     files = input_files(tmp_path)
@@ -713,6 +728,61 @@ def test_plot_of_a_range_past_float_range_stays_finite(tmp_path, projection):
     assert all(60 <= c <= 580 for c in coords)
     assert "nan" not in out and "inf" not in out
 
+
+# ---------------------------------------------------------------------------
+# report documents
+# ---------------------------------------------------------------------------
+
+def key_paths(doc, path="") -> set[str]:
+    """Every key path in a JSON document; a list's items share its path + "[]"."""
+    if isinstance(doc, dict):
+        return {p for k, v in doc.items() for p in {f"{path}/{k}", *key_paths(v, f"{path}/{k}")}}
+    if isinstance(doc, list):
+        return set().union(*(key_paths(v, path + "[]") for v in doc))
+    return set()
+
+
+INVARIANT_KEYS = {"/invariants", "/invariants/components", "/invariants/euler_characteristic",
+                  "/invariants/orientable", "/invariants/genus"}
+EVIDENCE = ["max_displacement", "diameter", "azimuth_turns", "monotone_fraction", "tube_turns",
+            "axis_touch_ratio", "section_spread", "section_points", "min_return_distance"]
+CLASSIFY_KEYS = {"/verdict", "/evidence", "/params", "/params/A", "/params/B", "/params/C",
+                 "/ic", "/t_end"}
+
+
+# The documents whose JSON keys are the fields of a report dataclass: a
+# renamed or added field changes CLI output and must fail here.
+@pytest.mark.parametrize("argv, keys", [
+    (["build", "--kind", "circle"], {"/complex", "/complex/kind", "/complex/cycles",
+                                     *INVARIANT_KEYS}),
+    (["build", "--kind", "globe"], {"/complex", "/complex/kind", "/complex/vertices",
+                                    "/complex/triangles", *INVARIANT_KEYS}),
+    (["surgery", "--input", "{surface}", "--dim", "2", "--type", "0", "--site-a", "0",
+      "--site-b", "30"], {"/complex", "/complex/kind", "/complex/vertices",
+                          "/complex/triangles", *INVARIANT_KEYS}),
+    (["surgery", "--input", "{curve}", "--dim", "1", "--site", "1,4"],
+     {"/complex", "/complex/kind", "/complex/cycles", *INVARIANT_KEYS}),
+    (["classify-shell", *P3, "--ic", "1,1,1", "--t-end", "5"],
+     {*CLASSIFY_KEYS, "/evidence/max_displacement"}),
+    (["classify-shell", *P3, "--ic", "1,1.3,0.89", "--t-end", "20"],
+     {*CLASSIFY_KEYS, *(f"/evidence/{k}" for k in EVIDENCE)}),
+    (["poincare", *P3, "--ic", "1,1.3,0.89", "--t-end", "5", "--plane-point", "1,1,1",
+      "--plane-normal", "1,0,0"], {"/count", "/crossings", "/crossings[]/t",
+                                   "/crossings[]/state", "/crossings[]/direction"}),
+    (["morse-frames", "--t", "-1", "0", "--resolution", "8", "--format", "json"],
+     {"/frames", *(f"/frames[]/{k}" for k in ("t", "box", "resolution", "polylines",
+                                               "degenerate", "branch_count"))}),
+])
+def test_report_documents_keep_their_key_tree(tmp_path, argv, keys):
+    files = input_files(tmp_path)
+    code, out, err = run_in_process([a.format(**files) for a in argv])
+    assert (code, err) == (0, "")
+    assert key_paths(json.loads(out)) == keys
+
+
+# ---------------------------------------------------------------------------
+# any command line
+# ---------------------------------------------------------------------------
 
 HOSTILE = ["nan", "inf", "-1", "0", "abc", "", "1,2"]
 OMIT, FLAG = "<omit>", "<flag>"

@@ -181,6 +181,10 @@ def test_precondition_errors():
         integrate(p, (1, 1, 1), math.nan)
     with pytest.raises(ValueError, match="finite"):
         integrate(p, (1, 1, 1), math.inf)
+    # a start that is not finite is bad input, not a failed integration
+    for ic in ((math.nan, 1, 1), (1, -math.inf, 1)):
+        with pytest.raises(ValueError, match="initial state"):
+            integrate(p, ic, 1.0)
     with pytest.raises(ValueError):
         integrate(p, (1, 1, 1), 10.0, rtol=1e-2)
     with pytest.raises(ValueError):

@@ -364,6 +364,21 @@ def test_first_return_stops_at_the_crossing_of_a_full_run(monkeypatch):
     assert pq.tolist() == rm.project(full.state_at(t_c)).tolist()
 
 
+def test_a_failed_difference_return_keeps_the_history(monkeypatch):
+    real, calls = _ReturnMap.first_return, []
+
+    def second_fails(self, q):
+        calls.append(q)
+        if len(calls) == 2:  # the first finite-difference return
+            raise LimitCycleNotFound("stub", ())
+        return real(self, q)
+
+    monkeypatch.setattr(_ReturnMap, "first_return", second_fails)
+    with pytest.raises(LimitCycleNotFound) as exc_info:
+        detect_limit_cycle(PARAMS_B, (1.0, 1.0, 1.0))
+    assert exc_info.value.history == (0.0025114268928958725,)
+
+
 def test_limit_cycle_loop_maps_to_itself(cycle_b):
     traj = integrate(PARAMS_B, cycle_b.anchor, cycle_b.period, rtol=1e-10, atol=1e-12)
     gap = max(abs(a - b) for a, b in zip(traj.states[-1], cycle_b.anchor))
