@@ -304,13 +304,14 @@ def _add_param_args(sp, with_ic=False, with_t_end=True):
 class _Parser(argparse.ArgumentParser):
     """Raises a bad command line as a ValueError, for main to report.
 
-    A token that starts with "-" and a digit or "." is a value, as in
-    --ic -1,0,0 or --t -1e-3: argparse alone takes only a plain negative
-    integer or decimal for one.  No option of this CLI starts that way."""
+    A token that starts with "-" and a digit, ".", "inf" or "nan" in any
+    case is a value, as in --ic -1,0,0, --t -1e-3 or --ic -inf,1,1:
+    argparse alone takes only a plain negative integer or decimal for one.
+    No option of this CLI starts that way."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise ValueError(message)

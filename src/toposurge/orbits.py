@@ -35,6 +35,7 @@ EPS_CYCLE = 1e-9
 MAX_NEWTON_ITERATIONS = 25
 MIN_CYCLE_SIZE = 1e-4         # smallest extent of a loop that counts as a cycle
 RETURN_T_MAX = 40.0           # longest integration one return-map evaluation may take
+EXPLORE_RTOL = 1e-6           # loosest rtol of the exploration that seeds Newton
 
 TUBE_TURNS_TOROIDAL = 3.0     # meridional circulations to call a tube a tube
 TUBE_TURNS_SPHERICAL = 1.5    # at most one arc traversal (plus slack)
@@ -395,7 +396,10 @@ def detect_limit_cycle(
     toroidal scroll contracts by well under a percent per circuit, so the
     transient lasts tens of thousands of revolutions.  Instead the orbit is
     explored briefly to seed the tube centre, then the return-map fixed
-    point is refined with finite-difference Newton steps.  In the B/A = 1
+    point is refined with finite-difference Newton steps.  The exploration
+    only seeds Newton, so it runs at rtol = max(rtol, EXPLORE_RTOL); every
+    return, the crossing bisection and the closing loop use rtol and atol
+    as given, and so certify the residual and period.  In the B/A = 1
     regime the map has a unit eigenvalue (a continuum of invariant shells),
     Newton stalls, and a LimitCycleNotFound carrying the residual history
     is raised.  A non-positive or non-finite explore_time or eps_cycle, or
@@ -408,7 +412,7 @@ def detect_limit_cycle(
     axis = slow_manifold(p)
 
     # seed: centroid of the meridional section trace of a short exploration
-    traj = integrate(p, ic, explore_time, rtol=rtol, atol=atol)
+    traj = integrate(p, ic, explore_time, rtol=max(rtol, EXPLORE_RTOL), atol=atol)
     prof = winding_profile(traj, axis)
     hs, rs = section_sequence(prof)
     if len(hs) < 3 or abs(prof.total_turns) < 2.0:

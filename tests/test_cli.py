@@ -477,6 +477,16 @@ def test_a_value_may_start_with_a_minus_sign():
     assert [f["t"] for f in json.loads(out)["frames"]] == [-1e-3, 0.0]
 
 
+def test_a_value_may_start_with_minus_inf_or_nan():
+    poincare_argv = ["poincare", *P3, "--ic", "1,1.3,0.89", "--t-end", "20",
+                     "--plane-point", "1,1,1"]
+    for argv, flag, value in [(["simulate", *P3, "--t-end", "1"], "--ic", "-inf,1,1"),
+                              (poincare_argv, "--plane-normal", "-nan,0,0")]:
+        code, out, err = run_in_process(argv + [f"{flag}={value}"])
+        assert code == 2 and out == "" and "must be finite" in err
+        assert run_in_process(argv + [flag, value]) == (code, out, err)
+
+
 def test_limit_cycle_failure_is_exit_1_with_report(capsys):
     code, out, err = run(
         ["limit-cycle", "--A", "3", "--B", "3", "--C", "3", "--ic", "1,1.3,0.89",
