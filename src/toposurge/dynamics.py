@@ -51,12 +51,17 @@ class SystemParams:
 
 
 def rhs(s: Vec3, p: SystemParams) -> Vec3:
+    """The vector field at s, for floats or for numpy arrays of states.
+
+    XY and A Z X^2 are computed once and shared by two components, as in
+    the step kernel of `integrate`, whose FSAL stage this is to the last bit:
+    dense output takes its slopes from here.  Sharing a product changes no
+    bit, and neither does writing -Y + XY as XY - Y (IEEE addition
+    commutes) or -B Z as (-B) Z (which is how Python parses it)."""
     X, Y, Z = s
-    return (
-        X - X * Y + p.C * X * X - p.A * Z * X * X,
-        -Y + X * Y,
-        -p.B * Z + p.A * Z * X * X,
-    )
+    xy = X * Y
+    azxx = p.A * Z * X * X
+    return (X - xy + p.C * X * X - azxx, xy - Y, -p.B * Z + azxx)
 
 
 def jacobian(s: Vec3, p: SystemParams) -> Mat3:

@@ -12,18 +12,28 @@ output takes the vector field at a step's two ends from `dynamics.rhs`,
 which is the step kernel's FSAL stage to the last bit.
 
 The state is only 3-dimensional, so numpy overhead would dominate.  One
-step is straight-line code on local floats instead: the tableau, A, B, C
-and the math functions are bound to locals once per call, the vector field
-is inlined for the six new stages, and the error norm is written out per
-component.  Floating-point arithmetic is not associative, and a change in
-the last bit of one stage can change the whole step sequence.  So the step
-keeps the operation order of a generic loop over the tableau rows that
-calls `dynamics.rhs` per stage: the inlined field is written exactly as in
-`rhs` (no shared X * X), every stage sum runs left to right, and the error
-norm squares with ** 2, which is pow() and differs from e * e in the last
-bit for some e.  Terms whose weight is 0.0 are left out: they only add a
-signed zero, unless the stage they weight is not finite, a case the
-finiteness check catches.
+step is straight-line code on local floats instead: the tableau, A, C, -B
+and sqrt are bound to locals once per call, the vector field is inlined
+for the six new stages, and the error norm is written out per component.
+Floating-point arithmetic is not associative, and a change in the last bit
+of one stage can change the whole step sequence.  So the step keeps the
+operation order of a generic loop over the tableau rows that calls
+`dynamics.rhs` per stage, and every rewrite in it is exact:
+
+- the inlined field is written exactly as in `rhs`: X * Y and A * Z * X * X
+  are computed once a stage and shared by the two components that use
+  them (X * X alone is not shared: C * X * X is (C * X) * X);
+- every stage sum runs left to right, and the error norm squares with ** 2,
+  which is pow() and differs from e * e in the last bit for some e;
+- terms whose weight is 0.0 are left out: they only add a signed zero,
+  unless the stage they weight is not finite, a case the finiteness check
+  catches;
+- the finiteness check is one sum of v - v over the new state and the FSAL
+  stage, which is 0.0 when all six are finite and NaN otherwise;
+- abs of the accepted state is carried to the next step, and each max or
+  min is the conditional expression that picks the same operand, so an
+  accepted step calls no builtin but abs three times, sqrt once and append
+  four times.
 
 Resolution genuinely matters for this system - coarse tolerances visibly
 deform the attractor - so the defaults are strict (rtol 1e-9, atol 1e-12).
@@ -162,6 +172,8 @@ def integrate(
     stop(t, X, Y, Z), if given, is called after every accepted step; once
     it returns true the integration ends there, that step included.  The
     steps before it are the ones an integration without stop takes.
+    Without stop, the last step is clamped to end at t_end exactly, so
+    t[-1] == t_end.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
@@ -171,8 +183,8 @@ def integrate(
     if not (_TOL_MIN <= rtol <= _TOL_MAX) or not (_TOL_MIN <= atol <= _TOL_MAX):
         raise ValueError("tolerances must lie in [1e-13, 1e-3]")
 
-    A, B, C = p.A, p.B, p.C
-    isfinite, sqrt, max_steps = math.isfinite, math.sqrt, _MAX_STEPS
+    A, C, nB = p.A, p.C, -p.B
+    sqrt, max_steps = math.sqrt, _MAX_STEPS
     (
         _,
         (a10,),
@@ -195,96 +207,119 @@ def integrate(
     n_rej = 0
     err_prev = 1e-4
     X, Y, Z = y0
+    aX, aY, aZ = abs(X), abs(Y), abs(Z)
     k0x, k0y, k0z = f
 
+    # Each max(a, b) or min(a, b) of the step is written as the conditional
+    # that picks the same operand: b if b > a else a, b if b < a else a.
+    # t never falls below 0.0, so abs(t) is t in the underflow guard.
     while t < t_end:
-        if h < 1e-14 * max(1.0, abs(t)):
+        if h < 1e-14 * (t if t > 1.0 else 1.0):
             raise IntegrationError("step size underflow", t)
         if n_acc + n_rej > next_check:
             n = n_acc + n_rej
             if n > max_steps or n * (t_end - t) > (max_steps - n) * t:
                 raise IntegrationError("step budget exhausted", t)
             next_check = min(n + _BUDGET_CHECK, max_steps)
-        if t + h > t_end:
+        t_new = t + h
+        if t_new > t_end:
+            # t + (t_end - t) can round off t_end, and one ulp short of it
+            # would take another step, so a clamped step ends at t_end exactly
             h = t_end - t
+            t_new = t_end
 
         x = X + h * (a10 * k0x)
         y = Y + h * (a10 * k0y)
         z = Z + h * (a10 * k0z)
-        k1x = x - x * y + C * x * x - A * z * x * x
-        k1y = -y + x * y
-        k1z = -B * z + A * z * x * x
+        xy = x * y
+        azxx = A * z * x * x
+        k1x = x - xy + C * x * x - azxx
+        k1y = xy - y
+        k1z = nB * z + azxx
 
         x = X + h * (a20 * k0x + a21 * k1x)
         y = Y + h * (a20 * k0y + a21 * k1y)
         z = Z + h * (a20 * k0z + a21 * k1z)
-        k2x = x - x * y + C * x * x - A * z * x * x
-        k2y = -y + x * y
-        k2z = -B * z + A * z * x * x
+        xy = x * y
+        azxx = A * z * x * x
+        k2x = x - xy + C * x * x - azxx
+        k2y = xy - y
+        k2z = nB * z + azxx
 
         x = X + h * (a30 * k0x + a31 * k1x + a32 * k2x)
         y = Y + h * (a30 * k0y + a31 * k1y + a32 * k2y)
         z = Z + h * (a30 * k0z + a31 * k1z + a32 * k2z)
-        k3x = x - x * y + C * x * x - A * z * x * x
-        k3y = -y + x * y
-        k3z = -B * z + A * z * x * x
+        xy = x * y
+        azxx = A * z * x * x
+        k3x = x - xy + C * x * x - azxx
+        k3y = xy - y
+        k3z = nB * z + azxx
 
         x = X + h * (a40 * k0x + a41 * k1x + a42 * k2x + a43 * k3x)
         y = Y + h * (a40 * k0y + a41 * k1y + a42 * k2y + a43 * k3y)
         z = Z + h * (a40 * k0z + a41 * k1z + a42 * k2z + a43 * k3z)
-        k4x = x - x * y + C * x * x - A * z * x * x
-        k4y = -y + x * y
-        k4z = -B * z + A * z * x * x
+        xy = x * y
+        azxx = A * z * x * x
+        k4x = x - xy + C * x * x - azxx
+        k4y = xy - y
+        k4z = nB * z + azxx
 
         x = X + h * (a50 * k0x + a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x)
         y = Y + h * (a50 * k0y + a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y)
         z = Z + h * (a50 * k0z + a51 * k1z + a52 * k2z + a53 * k3z + a54 * k4z)
-        k5x = x - x * y + C * x * x - A * z * x * x
-        k5y = -y + x * y
-        k5z = -B * z + A * z * x * x
+        xy = x * y
+        azxx = A * z * x * x
+        k5x = x - xy + C * x * x - azxx
+        k5y = xy - y
+        k5z = nB * z + azxx
 
         # the 5th-order solution, and the FSAL stage at it
         x = X + h * (b0 * k0x + b2 * k2x + b3 * k3x + b4 * k4x + b5 * k5x)
         y = Y + h * (b0 * k0y + b2 * k2y + b3 * k3y + b4 * k4y + b5 * k5y)
         z = Z + h * (b0 * k0z + b2 * k2z + b3 * k3z + b4 * k4z + b5 * k5z)
-        k6x = x - x * y + C * x * x - A * z * x * x
-        k6y = -y + x * y
-        k6z = -B * z + A * z * x * x
+        xy = x * y
+        azxx = A * z * x * x
+        k6x = x - xy + C * x * x - azxx
+        k6y = xy - y
+        k6z = nB * z + azxx
 
         # A non-finite k1 already made the new state non-finite.  A
         # non-finite k6 would enter the 5th-order solution through its zero
-        # weight as NaN, so it counts as a non-finite state too.
-        if not (isfinite(x) and isfinite(y) and isfinite(z)
-                and isfinite(k6x) and isfinite(k6y) and isfinite(k6z)):
+        # weight as NaN, so it counts as a non-finite state too.  v - v is
+        # 0.0 for a finite v and NaN for inf or NaN, so the sum is 0.0
+        # exactly when all six are finite.
+        if (x - x) + (y - y) + (z - z) + (k6x - k6x) + (k6y - k6y) + (k6z - k6z) != 0.0:
             raise IntegrationError("non-finite state", t)
 
         ex = h * (e0 * k0x + e2 * k2x + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x)
         ey = h * (e0 * k0y + e2 * k2y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y)
         ez = h * (e0 * k0z + e2 * k2z + e3 * k3z + e4 * k4z + e5 * k5z + e6 * k6z)
-        sx = atol + rtol * max(abs(X), abs(x))
-        sy = atol + rtol * max(abs(Y), abs(y))
-        sz = atol + rtol * max(abs(Z), abs(z))
+        ax, ay, az = abs(x), abs(y), abs(z)
+        sx = atol + rtol * (ax if ax > aX else aX)
+        sy = atol + rtol * (ay if ay > aY else aY)
+        sz = atol + rtol * (az if az > aZ else aZ)
         err = sqrt(((ex / sx) ** 2 + (ey / sy) ** 2 + (ez / sz) ** 2) / 3.0)
 
         if err <= 1.0:
-            t += h
+            t = t_new
             X, Y, Z = x, y, z
+            aX, aY, aZ = ax, ay, az
             k0x, k0y, k0z = k6x, k6y, k6z
             t_append(t)
             y_append(X)
             y_append(Y)
             y_append(Z)
             n_acc += 1
-            fac = 5.0 if err == 0.0 else min(
-                5.0, max(0.2, 0.9 * err ** -0.17 * err_prev ** 0.04)
-            )
-            err_prev = max(err, 1e-10)
-            h *= fac
+            fac = 5.0 if err == 0.0 else 0.9 * err ** -0.17 * err_prev ** 0.04
+            # min(5.0, max(0.2, fac))
+            h *= 5.0 if fac >= 5.0 else fac if fac > 0.2 else 0.2
+            err_prev = err if err > 1e-10 else 1e-10
             if stop is not None and stop(t, X, Y, Z):
                 break
         else:
             n_rej += 1
-            h *= max(0.1, 0.9 * err ** -0.2)
+            fac = 0.9 * err ** -0.2
+            h *= fac if fac > 0.1 else 0.1
 
     return Trajectory(
         params=p,

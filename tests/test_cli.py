@@ -131,6 +131,33 @@ def test_overflowing_start_is_exit_1_with_one_line(capsys):
     assert err.startswith("integration failed:") and err.count("\n") == 1
 
 
+def test_non_finite_state_is_exit_1_with_one_line(capsys):
+    code, out, err = run(
+        ["simulate", "--A", "0.001", "--B", "3", "--C", "3", "--ic", "1e160,1e160,1e160",
+         "--t-end", "1", "--rtol", "1e-3", "--atol", "1e-3"],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert err == "integration failed: non-finite state (at t = 0)\n"
+
+
+def test_simulate_ends_on_one_row_at_t_end(tmp_path, capsys):
+    # t + (t_end - t) is one ulp below t_end here: a last step that ended
+    # there would be followed by a step of one ulp, and the row would repeat
+    out = tmp_path / "s.csv"
+    code, _, _ = run(
+        ["simulate", "--A", "2.290520512893875", "--B", "1.468973077334825",
+         "--C", "2.1586916125965576",
+         "--ic", "1.0710441771061572,1.2937631620454297,1.2508606405692506",
+         "--t-end", "0.2297503861450196", "--rtol", "1e-3", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 3
+    assert rows[-1] == "0.229750386145,0.814771841319,1.27578910804,1.42389947912"
+
+
 def test_huge_horizon_is_exit_1_with_one_line(capsys):
     code, out, err = run(
         ["simulate", "--A", "2.9851", "--B", "3", "--C", "3", "--ic", "1,1,0.9",

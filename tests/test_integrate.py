@@ -1,11 +1,13 @@
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from toposurge import integrate as integrate_module
 from toposurge.dynamics import SystemParams, rhs
 from toposurge.integrate import IntegrationError, hermite_weights, integrate, resample
 
@@ -199,8 +201,14 @@ def test_precondition_errors():
 def test_blowup_is_reported_not_silent():
     # far outside the positive structure X' ~ C X^2 explodes in finite time
     p = SystemParams(0.001, 3, 3)
-    with pytest.raises(IntegrationError):
+    with pytest.raises(IntegrationError, match="step size underflow"):
         integrate(p, (50.0, 0.0, 0.0), 10.0)
+
+
+def test_non_finite_state_is_reported_at_the_step_that_makes_it():
+    # the first step's stages overflow to inf, so its new state is not finite
+    with pytest.raises(IntegrationError, match=r"^non-finite state \(at t = 0\)$"):
+        integrate(SystemParams(0.001, 3, 3), (1e160, 1e160, 1e160), 1.0, rtol=1e-3, atol=1e-3)
 
 
 @pytest.mark.parametrize("ic", [(1e80, 1.0, 1.0), (1e200, 0.0, 0.0)])
@@ -233,3 +241,126 @@ def test_determinism():
     b = integrate(p, (1, 1, 0.9), 30.0)
     assert a.t.tolist() == b.t.tolist()
     assert a.states.tolist() == b.states.tolist()
+
+
+def test_a_clamped_last_step_ends_at_t_end_exactly():
+    # t + (t_end - t) is one ulp below t_end here: a step that ended there
+    # would be followed by a step of one ulp
+    p = SystemParams(2.290520512893875, 1.468973077334825, 2.1586916125965576)
+    ic = (1.0710441771061572, 1.2937631620454297, 1.2508606405692506)
+    t_end = 0.2297503861450196
+    traj = integrate(p, ic, t_end, rtol=1e-3)
+    assert traj.t.tolist() == [0.0, 0.08199654617818143, t_end]
+    assert traj.stats.n_accepted == 2
+    # with t + (t_end - t) as the last time, 3 of these 2,000 short runs
+    # would end one ulp short of t_end
+    rng = random.Random(22)
+    for _ in range(2000):
+        p = SystemParams(*(rng.uniform(0.3, 4.0) for _ in range(3)))
+        ic = tuple(rng.uniform(0.05, 2.5) for _ in range(3))
+        t_end = rng.uniform(0.01, 1.0)
+        traj = integrate(p, ic, t_end, rtol=10 ** rng.uniform(-6, -3))
+        assert traj.t[-1] == t_end and traj.stats.n_accepted == len(traj) - 1
+
+
+def reference_integrate(p, ic, t_end, rtol=1e-9, atol=1e-12, stop=None):
+    """The generic Dormand-Prince loop over the rows of the tableau, one
+    `dynamics.rhs` call a stage, with the step control's max/min/isfinite
+    as written in the method: the step kernel must give its bits.  Terms of
+    weight 0.0 are skipped, as the kernel skips them."""
+    t, y = 0.0, tuple(float(v) for v in ic)
+    f = rhs(y, p)
+    h = integrate_module._initial_step(f, y, p, rtol, atol)
+    ts, ys = [t], [y]
+    n_acc = n_rej = 0
+    err_prev = 1e-4
+
+    def combine(y, h, weights, ks):
+        out = []
+        for i in range(3):
+            acc = None
+            for w, k in zip(weights, ks):
+                if w != 0.0:
+                    acc = w * k[i] if acc is None else acc + w * k[i]
+            out.append(acc if y is None else y[i] + h * acc)
+        return tuple(out)
+
+    while t < t_end:
+        if h < 1e-14 * max(1.0, abs(t)):
+            raise IntegrationError("step size underflow", t)
+        t_new = t + h
+        if t_new > t_end:
+            h, t_new = t_end - t, t_end
+        ks = [f]
+        for row in integrate_module._A[1:]:
+            ks.append(rhs(combine(y, h, row, ks), p))
+        y_new = combine(y, h, integrate_module._A[-1], ks)
+        if not all(map(math.isfinite, y_new + ks[-1])):
+            raise IntegrationError("non-finite state", t)
+        e = tuple(h * v for v in combine(None, h, integrate_module._E, ks))
+        sc = [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y_new)]
+        err = math.sqrt(sum((ei / si) ** 2 for ei, si in zip(e, sc)) / 3.0)
+        if err <= 1.0:
+            t, y, f = t_new, y_new, ks[-1]
+            ts.append(t)
+            ys.append(y)
+            n_acc += 1
+            fac = 5.0 if err == 0.0 else min(
+                5.0, max(0.2, 0.9 * err ** -0.17 * err_prev ** 0.04))
+            err_prev = max(err, 1e-10)
+            h *= fac
+            if stop is not None and stop(t, *y):
+                break
+        else:
+            n_rej += 1
+            h *= max(0.1, 0.9 * err ** -0.2)
+    return np.array(ts), np.array(ys), (n_acc, n_rej)
+
+
+@pytest.mark.parametrize("rtol", [1e-3, 1e-6, 1e-13])
+@pytest.mark.parametrize("p, ic", [(p, ic) for p, ic, _, _ in PINNED_ORBITS])
+def test_step_kernel_is_the_generic_loop_bit_for_bit(p, ic, rtol):
+    traj = integrate(p, ic, 5.0, rtol=rtol)
+    t, states, counts = reference_integrate(p, ic, 5.0, rtol=rtol)
+    assert traj.t.tobytes() == t.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+    assert (traj.stats.n_accepted, traj.stats.n_rejected) == counts
+
+
+def test_step_kernel_with_stop_is_the_generic_loop_bit_for_bit():
+    p, ic, _, _ = PINNED_ORBITS[1]
+
+    def past_two(t, X, Y, Z):
+        return t >= 2.0
+
+    traj = integrate(p, ic, 5.0, rtol=1e-6, stop=past_two)
+    t, states, counts = reference_integrate(p, ic, 5.0, rtol=1e-6, stop=past_two)
+    assert t[-2] < 2.0 <= t[-1] < 5.0
+    assert traj.t.tobytes() == t.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+    assert (traj.stats.n_accepted, traj.stats.n_rejected) == counts
+
+
+def test_a_step_calls_at_most_eight_builtins():
+    # abs three times, sqrt once and append four times an accepted step;
+    # the difference of two horizons leaves out the calls made once a run
+    def builtin_calls(t_end):
+        calls = 0
+        code = integrate.__code__
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "c_call" and frame.f_code is code:
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            traj = integrate(SystemParams(2.9851, 3, 3), (1.0, 1.0, 0.9), t_end)
+        finally:
+            sys.setprofile(None)
+        return calls, traj.stats.n_accepted + traj.stats.n_rejected
+
+    calls_10, steps_10 = builtin_calls(10.0)
+    calls_20, steps_20 = builtin_calls(20.0)
+    assert steps_20 - steps_10 > 400
+    assert calls_20 - calls_10 <= 8 * (steps_20 - steps_10)
