@@ -8,11 +8,19 @@ The check is one function, run over every vertex when a surface is built
 and over the vertices a surgery touched when surgery builds its output
 (:func:`_replaced`): the rest of that complex is the already-checked input,
 so the local run reaches the full run's verdict.
+
+Triangles meet through one side pairing, :func:`_pair_sides`: each side of
+each triangle finds its twin through the integer key u * n + v of its edge,
+and a flat list holds, per side, the twin and whether it runs the edge the
+opposite way.  The surface check, its link walk, :func:`invariants` and
+surgery's site checks all read that list.  The key needs every vertex id
+to be an int, so a surface takes an id only if ``operator.index`` does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 
@@ -84,29 +92,62 @@ def two_circles(n: int = 6, m: int = 6) -> OneManifold:
 Triangle = tuple[int, int, int]
 
 
-def _edges_of(tri: Triangle) -> tuple[tuple[int, int], ...]:
-    a, b, c = tri
-    return ((a, b), (b, c), (c, a))
-
-
 def _ukey(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _edge_triangles(tris: Sequence[Triangle]) -> dict[tuple[int, int], list[int]]:
-    """Map each undirected edge (low, high) to the indices of the triangles
-    holding it.  Edges and indices keep the order of the triangle list."""
-    inc: dict[tuple[int, int], list[int]] = {}
-    for ti, (a, b, c) in enumerate(tris):
-        for u, v in ((a, b), (b, c), (c, a)):
-            inc.setdefault((u, v) if u < v else (v, u), []).append(ti)
-    return inc
+def _pair_sides(
+    tris: Sequence[Triangle], star: Iterable[int], n: int
+) -> tuple[list[int], dict[int, int]]:
+    """Pair the sides of the triangles ``star`` (indices into ``tris``)
+    across their edges.  Every id must be an int in 0..n-1.
+
+    Side k = 3 * ti + i of triangle ti = (a, b, c) runs from its vertex i
+    to the next one: a -> b, b -> c, c -> a.  The edge {u, v}, u < v, has
+    the key u * n + v.  Returns ``twin`` and ``first``:
+
+    - ``twin[k]`` is 2 * j + o for the side j that k is paired with, o = 1
+      iff j runs the edge the opposite way; the neighbour triangle is
+      j // 3.  A side alone on its edge, or outside ``star``, has -1.
+    - ``first`` maps each edge's key to its first side, in order of first
+      appearance.
+
+    Two sides on one edge are each other's twin.  The sides of an edge in
+    three or more triangles form one cycle under ``twin``, which keeps them
+    connected; their o bits mean nothing.  So the edge whose first side is
+    r lies in exactly two triangles iff ``x = twin[r]`` is not -1 and
+    ``twin[x >> 1] >> 1 == r``.
+    """
+    twin = [-1] * (3 * len(tris))
+    first: dict[int, int] = {}
+    for ti in star:
+        a, b, c = tris[ti]
+        k = 3 * ti
+        r = first.setdefault(a * n + b if a < b else b * n + a, k)
+        if r != k:
+            x = twin[r]
+            o = tris[r // 3][r % 3] == b  # side r starts at b: it runs b -> a
+            twin[r] = 2 * k + o
+            twin[k] = 2 * r + o if x < 0 else x  # a third side joins r's cycle
+        k += 1
+        r = first.setdefault(b * n + c if b < c else c * n + b, k)
+        if r != k:
+            x = twin[r]
+            o = tris[r // 3][r % 3] == c
+            twin[r] = 2 * k + o
+            twin[k] = 2 * r + o if x < 0 else x
+        k += 1
+        r = first.setdefault(c * n + a if c < a else a * n + c, k)
+        if r != k:
+            x = twin[r]
+            o = tris[r // 3][r % 3] == a
+            twin[r] = 2 * k + o
+            twin[k] = 2 * r + o if x < 0 else x
+    return twin, first
 
 
-def _flood(
-    tris: Sequence[Triangle], inc: dict[tuple[int, int], list[int]]
-) -> tuple[list[int], bool]:
-    """Flood the triangles across shared edges.  Returns each triangle's
+def _flood(tris: Sequence[Triangle], twin: list[int]) -> tuple[list[int], bool]:
+    """Flood the triangles across paired sides.  Returns each triangle's
     component, numbered in the order of its lowest triangle index, and
     whether every component can be oriented coherently: two triangles that
     share an edge must traverse it in opposite directions once flipped."""
@@ -122,48 +163,51 @@ def _flood(
         while stack:
             ti = stack.pop()
             f = flip[ti]
-            a, b, c = tris[ti]
-            for u, v in ((a, b), (b, c), (c, a)):
-                for tj in inc[(u, v) if u < v else (v, u)]:
-                    if tj == ti:
-                        continue
-                    # tj keeps ti's flip iff it runs the shared edge as
-                    # (v, u), i.e. iff v does not follow u in tj
-                    p, q, r = tris[tj]
-                    want = f != ((q if u == p else r if u == q else p) == v)
-                    if comp[tj] < 0:
-                        comp[tj] = n
-                        flip[tj] = want
-                        stack.append(tj)
-                    elif flip[tj] != want:
-                        orientable = False
+            k = 3 * ti
+            for x in (twin[k], twin[k + 1], twin[k + 2]):
+                if x < 0:
+                    continue
+                # tj keeps ti's flip iff it runs the shared edge the
+                # opposite way
+                tj = x // 6
+                want = f == (x & 1)
+                if comp[tj] < 0:
+                    comp[tj] = n
+                    flip[tj] = want
+                    stack.append(tj)
+                elif flip[tj] != want:
+                    orientable = False
         n += 1
     return comp, orientable
 
 
 def _walk_links(
-    tris: Sequence[Triangle],
-    inc: dict[tuple[int, int], list[int]],
+    twin: list[int],
     first: dict[int, int],
     count: dict[int, int],
     vertices: Iterable[int],
 ) -> None:
     """One-ring walk around each of ``vertices`` in turn; raise at the first
-    whose link is not a single cycle.  ``first[v]`` is a triangle at v,
-    ``count[v]`` the number of triangles at v, and every edge at v lies in
-    exactly two triangles of ``inc``."""
+    whose link is not a single cycle.  ``first[v]`` is a side that starts
+    at v, ``count[v]`` the number of triangles at v, and every edge at v
+    lies in exactly two triangles, paired by ``twin``.
+
+    The walk crosses a side at v into the twin's triangle and leaves that
+    triangle by its other side at v.  The twin may run the edge either way,
+    so the walk holds h = 2 * s + e: side s, with v at its start (e = 1) or
+    at its end (e = 0).  Crossing s reaches its twin j, and twin[s] ^ e
+    names j with v the same way, since the o bit flips e exactly when j
+    runs the edge the other way.  The two sides at a corner are named h
+    and h + 3 or h - 3 (side i with v at its start, side i - 1 with v at
+    its end), so the walk leaves by y + 3 if y % 6 < 3, else by y - 3."""
     for v in vertices:
-        start = ti = first[v]
-        a, b, _ = tris[start]
-        w = b if a == v else a
+        h = start = 2 * first[v] + 1
         steps = 0
         while True:
-            t0, t1 = inc[(v, w) if v < w else (w, v)]
-            ti = t1 if t0 == ti else t0
-            a, b, c = tris[ti]
-            w = a + b + c - v - w  # the vertex of ti that is neither v nor w
+            y = twin[h >> 1] ^ (h & 1)
+            h = y + 3 if y % 6 < 3 else y - 3
             steps += 1
-            if ti == start:
+            if h == start:
                 break
         if steps != count[v]:
             raise InvalidManifold(f"link of vertex {v} is not a single cycle")
@@ -171,45 +215,73 @@ def _walk_links(
 
 def _check_stars(
     n: int, tris: Sequence[Triangle], star: Iterable[int], touched: range | set[int]
-) -> None:
+) -> Sequence[Triangle]:
     """The surface check on the stars of the vertices ``touched``, which
     ``star`` lists by triangle index in order.  Raise at the first failure
-    of: some triangle at all; each star triangle has three distinct vertices
-    in 0..n-1; every touched vertex lies in one; every edge at a touched
-    vertex lies in exactly two triangles; every touched link is one cycle.
-    ``touched`` is ``range(n)`` for the full check."""
+    of: some triangle at all; each star triangle has three vertex ids that
+    ``operator.index`` takes, distinct and in 0..n-1; every touched vertex
+    lies in one; every edge at a touched vertex lies in exactly two
+    triangles; every touched link is one cycle.  ``touched`` is
+    ``range(n)`` for the full check.
+
+    Returns ``tris``; when some row holds an id of another type than int
+    (a bool, a numpy integer), a list of the rows with those ids as ints."""
     if not tris:
         raise InvalidManifold("surface with no triangles")
-    inc: dict[tuple[int, int], list[int]] = {}  # every edge of the star
-    first: dict[int, int] = {}  # vertex -> index of its first star triangle
+    first: dict[int, int] = {}  # vertex -> the side starting at it in its first star triangle
     count: dict[int, int] = {}  # vertex -> number of star triangles holding it
+    as_ints: dict[int, Triangle] = {}  # triangle index -> its row, as ints
     for ti in star:
         t = tris[ti]
         try:
             a, b, c = t
         except (TypeError, ValueError):
             raise InvalidManifold(f"triangle {ti} does not have 3 vertices") from None
-        if len({a, b, c}) != 3:
+        if a.__class__ is not int or b.__class__ is not int or c.__class__ is not int:
+            try:
+                a, b, c = as_ints[ti] = index(a), index(b), index(c)
+            except TypeError:
+                raise InvalidManifold(
+                    f"triangle {ti} has a vertex id that is not an integer") from None
+        if a == b or b == c or c == a:
             raise InvalidManifold(f"degenerate triangle {t}")
-        for v in t:
-            if not (0 <= v < n):
-                raise InvalidManifold(f"vertex {v} out of range in {t}")
-            if v in count:
-                count[v] += 1
-            else:
-                first[v] = ti
-                count[v] = 1
-        for u, v in ((a, b), (b, c), (c, a)):
-            inc.setdefault((u, v) if u < v else (v, u), []).append(ti)
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
+            v = next(v for v in t if not 0 <= v < n)
+            raise InvalidManifold(f"vertex {v} out of range in {t}")
+        k = 3 * ti
+        if a in count:
+            count[a] += 1
+        else:
+            first[a] = k
+            count[a] = 1
+        if b in count:
+            count[b] += 1
+        else:
+            first[b] = k + 1
+            count[b] = 1
+        if c in count:
+            count[c] += 1
+        else:
+            first[c] = k + 2
+            count[c] = 1
     # any() stops at the first unused vertex, so a huge n is refused at once
     if any(v not in count for v in touched):
         raise InvalidManifold("unused vertex indices present")
-    # an edge with no touched end may have a triangle outside the star
-    bad = [e for e, ts in inc.items()
-           if len(ts) != 2 and (e[0] in touched or e[1] in touched)]
+    if as_ints:
+        tris = [as_ints.get(ti, t) for ti, t in enumerate(tris)]
+    twin, edges = _pair_sides(tris, star, n)
+    bad = []
+    for key, r in edges.items():
+        x = twin[r]
+        if x < 0 or twin[x >> 1] >> 1 != r:
+            u, v = divmod(key, n)
+            # an edge with no touched end may have a triangle outside the star
+            if u in touched or v in touched:
+                bad.append((u, v))
     if bad:
         raise InvalidManifold(f"edges not shared by exactly 2 triangles: {bad[:4]}")
-    _walk_links(tris, inc, first, count, sorted(touched))
+    _walk_links(twin, first, count, sorted(touched))
+    return tris
 
 
 @dataclass(frozen=True)
@@ -221,11 +293,16 @@ class Surface:
     closed 2-manifold.  Triangle orientations are kept as given; coherence
     is a property computed by :func:`invariants`, not a requirement.
 
+    ``n_vertices`` and every vertex id must be what ``operator.index``
+    takes; any other id is refused with the index of its triangle.  One of
+    another type than int, such as a bool or a numpy integer, is stored as
+    its int.
+
     The edge check makes every link 2-regular: a link vertex w of v has one
     link edge per triangle holding the edge {v, w}.  A 2-regular link is a
     disjoint union of cycles, so only its connectivity is left to check.
-    That is the one-ring walk: cross edges {v, w} from triangle to triangle
-    around v; the link is one cycle iff the walk meets every triangle at v
+    That is the one-ring walk: cross the paired sides at v from triangle to
+    triangle; the link is one cycle iff the walk meets every triangle at v
     before it is back at the first.
 
     There is one check, :func:`_check_stars`.  Construction runs it over
@@ -237,8 +314,12 @@ class Surface:
     triangles: tuple[Triangle, ...]
 
     def __post_init__(self):
-        n = self.n_vertices
-        _check_stars(n, self.triangles, range(len(self.triangles)), range(n))
+        n = index(self.n_vertices)
+        tris = _check_stars(n, self.triangles, range(len(self.triangles)), range(n))
+        if n is not self.n_vertices:
+            object.__setattr__(self, "n_vertices", n)
+        if tris is not self.triangles:
+            object.__setattr__(self, "triangles", tuple(tris))
 
 
 def _replaced(s: Surface, removed: Iterable[int], new: Sequence[Triangle]) -> Surface:
@@ -392,15 +473,14 @@ def invariants(m: "OneManifold | Surface") -> InvariantReport:
 
 
 def _surface_invariants(s: Surface) -> InvariantReport:
-    inc = _edge_triangles(s.triangles)
-    comp, orientable = _flood(s.triangles, inc)
+    tris = s.triangles
+    comp, orientable = _flood(tris, _pair_sides(tris, range(len(tris)), s.n_vertices)[0])
     # per component V - F/2: each edge lies in two of its triangles, so E = 3F/2
     faces = [0] * (max(comp) + 1)
     comp_of_vertex = [0] * s.n_vertices
-    for t, c in zip(s.triangles, comp):
-        faces[c] += 1
-        for v in t:
-            comp_of_vertex[v] = c
+    for (a, b, c), ci in zip(tris, comp):
+        faces[ci] += 1
+        comp_of_vertex[a] = comp_of_vertex[b] = comp_of_vertex[c] = ci
     chi_per = [-f // 2 for f in faces]
     for c in comp_of_vertex:
         chi_per[c] += 1

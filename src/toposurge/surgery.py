@@ -27,9 +27,8 @@ from .manifolds import (
     OneManifold,
     Surface,
     Triangle,
-    _edge_triangles,
-    _edges_of,
     _flood,
+    _pair_sides,
     _replaced,
 )
 
@@ -160,20 +159,24 @@ def _curve(ends: dict[int, tuple]) -> OneManifold:
 # ---------------------------------------------------------------------------
 
 def _subcomplex_boundary(
-    tris: Sequence[Triangle], inc: dict[tuple[int, int], list[int]]
+    tris: Sequence[Triangle], twin: list[int], edges: dict[int, int]
 ) -> list[list[int]]:
-    """Directed boundary cycles of a sub-complex with edge map ``inc``, or
-    raise if malformed."""
-    if any(len(ts) > 2 for ts in inc.values()):
-        raise InvalidSite("site sub-complex has an edge in more than 2 triangles")
-    # directed boundary edges follow the triangle orientation
+    """Directed boundary cycles of a sub-complex whose sides
+    :func:`_pair_sides` paired as ``twin`` and ``edges``, or raise if
+    malformed."""
+    for r in edges.values():
+        x = twin[r]
+        if x >= 0 and twin[x >> 1] >> 1 != r:
+            raise InvalidSite("site sub-complex has an edge in more than 2 triangles")
+    # directed boundary edges are the unpaired sides, in triangle order
     succ: dict[int, int] = {}
-    for a, b, c in tris:
-        for u, v in ((a, b), (b, c), (c, a)):
-            if len(inc[(u, v) if u < v else (v, u)]) == 1:
-                if u in succ:
-                    raise InvalidSite("site boundary is not a disjoint union of simple cycles")
-                succ[u] = v
+    for k, x in enumerate(twin):
+        if x < 0:
+            t = tris[k // 3]
+            u = t[k % 3]
+            if u in succ:
+                raise InvalidSite("site boundary is not a disjoint union of simple cycles")
+            succ[u] = t[k % 3 - 2]
     cycles: list[list[int]] = []
     remaining = dict(succ)
     while remaining:
@@ -202,12 +205,12 @@ def _check_site(
     if not indices:
         raise InvalidSite(f"{label}: empty triangle set")
     tris = [s.triangles[i] for i in indices]
-    inc = _edge_triangles(tris)
-    if max(_flood(tris, inc)[0]) != 0:
+    twin, edges = _pair_sides(tris, range(len(tris)), s.n_vertices)
+    if max(_flood(tris, twin)[0]) != 0:
         raise InvalidSite(f"{label}: not edge-connected")
-    if len({v for t in tris for v in t}) - len(inc) + len(tris) != chi:
+    if len({v for t in tris for v in t}) - len(edges) + len(tris) != chi:
         raise InvalidSite(f"{label}: Euler characteristic != {chi}")
-    cycles = _subcomplex_boundary(tris, inc)
+    cycles = _subcomplex_boundary(tris, twin, edges)
     if len(cycles) != n_boundary:
         raise InvalidSite(f"{label}: {len(cycles)} boundary cycles, expected {n_boundary}")
     return cycles
@@ -317,11 +320,15 @@ def _disc_pairs(s: Surface) -> Iterator[DiscPairSite]:
     # each vertex with its neighbours; their union over triangle i is the
     # set triangle j must avoid.  It is rebuilt per row: stored per triangle
     # it would raise peak memory.
-    closed: dict[int, set[int]] = {v: {v} for v in range(s.n_vertices)}
-    for t in tris:
-        for u, v in _edges_of(t):
-            closed[u].add(v)
-            closed[v].add(u)
+    closed = [{v} for v in range(s.n_vertices)]
+    for a, b, c in tris:
+        near_a, near_b, near_c = closed[a], closed[b], closed[c]
+        near_a.add(b)
+        near_a.add(c)
+        near_b.add(a)
+        near_b.add(c)
+        near_c.add(a)
+        near_c.add(b)
     for i, (a, b, c) in enumerate(tris):
         near = closed[a] | closed[b] | closed[c]
         for j in range(i + 1, len(tris)):

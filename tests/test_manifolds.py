@@ -1,15 +1,19 @@
 import random
+import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from toposurge.manifolds import (
     InvalidManifold,
+    InvariantReport,
     OneManifold,
     Surface,
-    _edge_triangles,
-    _edges_of,
     _flood,
+    _pair_sides,
+    _surface_invariants,
     build_standard,
     circle,
     globe,
@@ -208,6 +212,37 @@ def test_a_triangle_row_of_the_wrong_length_is_named(triangles, bad):
         Surface(4, triangles)
 
 
+@pytest.mark.parametrize("triangles, bad", [
+    (((0.0, 1.0, 2.0), (0, 2, 3), (0, 3, 1), (1, 3, 2)), 0),
+    (((0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2.5)), 3),
+    (((0, 1, 2), (0, 2, "3"), (0, 3, 1), (1, 3, 2)), 1),
+    (((0, 1, 2), (0, 2, None), (0, 0, 1)), 1),
+    ((("a", "b", "c"),), 0),
+])
+def test_a_vertex_id_that_is_not_an_integer_is_named(triangles, bad):
+    with pytest.raises(InvalidManifold,
+                       match=f"^triangle {bad} has a vertex id that is not an integer$"):
+        Surface(4, triangles)
+
+
+def test_bool_and_numpy_integer_ids_are_taken_as_ints():
+    tris = tetra_sphere().triangles
+    for kind in (np.int64, np.int32, np.uint8):
+        s = Surface(np.int64(4), tuple(tuple(kind(v) for v in t) for t in tris))
+        assert s == tetra_sphere()
+        assert all(type(v) is int for t in s.triangles for v in t)
+        assert invariants(s) == invariants(tetra_sphere())
+    s = Surface(3, ((False, True, 2), (0, 2, 1)))
+    assert s.triangles == ((0, 1, 2), (0, 2, 1))
+    assert invariants(s).euler_characteristic == 2
+    # u * n + v overflows a uint8 here, so the ids must be ints before it
+    g = globe(8, 12)
+    narrow = Surface(np.uint8(g.n_vertices),
+                     tuple(tuple(np.uint8(v) for v in t) for t in g.triangles))
+    assert narrow == g and type(narrow.n_vertices) is int
+    assert invariants(narrow) == invariants(g)
+
+
 def test_vertex_count_is_checked_before_anything_is_sized_by_it():
     # a structure sized by n_vertices would not fit in memory
     with pytest.raises(InvalidManifold, match="^unused vertex indices present$"):
@@ -229,6 +264,87 @@ def test_two_triangle_sphere_is_accepted():
     assert invariants(s).euler_characteristic == 2
 
 
+def _sides(t):
+    a, b, c = t
+    return ((a, b), (b, c), (c, a))
+
+
+def _reference_edge_triangles(tris):
+    """Map each undirected edge (low, high) to the indices of the triangles
+    holding it, in the order of the triangle list: the tuple-keyed edge map
+    that the surface check, invariants and site validation used before the
+    side pairing."""
+    inc = {}
+    for ti, (a, b, c) in enumerate(tris):
+        for u, v in ((a, b), (b, c), (c, a)):
+            inc.setdefault((u, v) if u < v else (v, u), []).append(ti)
+    return inc
+
+
+def _reference_walk_links(tris, inc, first, count, vertices):
+    """The link walk on the edge map: cross the edge {v, w} into the other
+    triangle of inc, whose third vertex is the next w."""
+    for v in vertices:
+        start = ti = first[v]
+        a, b, _ = tris[start]
+        w = b if a == v else a
+        steps = 0
+        while True:
+            t0, t1 = inc[(v, w) if v < w else (w, v)]
+            ti = t1 if t0 == ti else t0
+            a, b, c = tris[ti]
+            w = a + b + c - v - w  # the vertex of ti that is neither v nor w
+            steps += 1
+            if ti == start:
+                break
+        if steps != count[v]:
+            raise InvalidManifold(f"link of vertex {v} is not a single cycle")
+
+
+def _reference_check_stars(n, tris, star, touched):
+    """The surface check as it was built on the edge map, its checks in the
+    same order as the library's."""
+    if not tris:
+        raise InvalidManifold("surface with no triangles")
+    inc = {}
+    first = {}
+    count = {}
+    for ti in star:
+        t = tris[ti]
+        try:
+            a, b, c = t
+        except (TypeError, ValueError):
+            raise InvalidManifold(f"triangle {ti} does not have 3 vertices") from None
+        if len({a, b, c}) != 3:
+            raise InvalidManifold(f"degenerate triangle {t}")
+        for v in t:
+            if not (0 <= v < n):
+                raise InvalidManifold(f"vertex {v} out of range in {t}")
+            if v in count:
+                count[v] += 1
+            else:
+                first[v] = ti
+                count[v] = 1
+        for u, v in ((a, b), (b, c), (c, a)):
+            inc.setdefault((u, v) if u < v else (v, u), []).append(ti)
+    if any(v not in count for v in touched):
+        raise InvalidManifold("unused vertex indices present")
+    bad = [e for e, ts in inc.items()
+           if len(ts) != 2 and (e[0] in touched or e[1] in touched)]
+    if bad:
+        raise InvalidManifold(f"edges not shared by exactly 2 triangles: {bad[:4]}")
+    _reference_walk_links(tris, inc, first, count, sorted(touched))
+
+
+def _reference_check(n_vertices, triangles):
+    """The message of the edge-map surface check on the whole list, or None."""
+    try:
+        _reference_check_stars(n_vertices, triangles, range(len(triangles)), range(n_vertices))
+    except InvalidManifold as exc:
+        return str(exc)
+    return None
+
+
 def _reference_verdict(n_vertices, triangles):
     """The message of the InvalidManifold that validation by per-vertex
     link tables raises, or None: every check in order, each link built
@@ -248,7 +364,7 @@ def _reference_verdict(n_vertices, triangles):
             used.update(t)
         if len(used) != n_vertices:
             raise InvalidManifold("unused vertex indices present")
-        bad = [e for e, ts in _edge_triangles(triangles).items() if len(ts) != 2]
+        bad = [e for e, ts in _reference_edge_triangles(triangles).items() if len(ts) != 2]
         if bad:
             raise InvalidManifold(f"edges not shared by exactly 2 triangles: {bad[:4]}")
         around = {v: [] for v in range(n_vertices)}
@@ -355,7 +471,7 @@ def test_link_walk_matches_the_link_table_reference(family):
             got = None
         except InvalidManifold as exc:
             got = str(exc)
-        assert got == want, (n, tris)
+        assert got == want == _reference_check(n, tris), (n, tris)
         verdicts.append(want)
     if family in ("globe_3_5", "glued_pairs", "random_lists"):
         # in the others two identified vertices are adjacent or share a
@@ -377,11 +493,11 @@ def _reference_flood(tris, inc):
         stack = [seed]
         while stack:
             ti = stack.pop()
-            for u, v in _edges_of(tris[ti]):
+            for u, v in _sides(tris[ti]):
                 for tj in inc[(u, v) if u < v else (v, u)]:
                     if tj == ti:
                         continue
-                    want = flip[ti] != ((u, v) in _edges_of(tris[tj]))
+                    want = flip[ti] != ((u, v) in _sides(tris[tj]))
                     if comp[tj] < 0:
                         comp[tj] = n
                         flip[tj] = want
@@ -422,14 +538,61 @@ def _flood_inputs(rnd):
             yield [s.triangles[i] for i in rnd.sample(range(len(s.triangles)), k)]
 
 
+def _reference_invariants(s):
+    """invariants as it was built on the edge map and the edge-tuple flood."""
+    comp, orientable = _reference_flood(s.triangles, _reference_edge_triangles(s.triangles))
+    faces = [0] * (max(comp) + 1)
+    comp_of_vertex = [0] * s.n_vertices
+    for t, c in zip(s.triangles, comp):
+        faces[c] += 1
+        for v in t:
+            comp_of_vertex[v] = c
+    chi_per = [-f // 2 for f in faces]
+    for c in comp_of_vertex:
+        chi_per[c] += 1
+    genus = tuple((2 - chi) // 2 for chi in chi_per) if orientable else None
+    return InvariantReport(len(chi_per), sum(chi_per), orientable, genus)
+
+
 def test_flood_matches_the_edge_tuple_reference():
+    """The flood on the side pairing against the edge-tuple flood, and the
+    report built on each, also on sub-complexes with boundary sides."""
     kinds = set()
     for tris in _flood_inputs(random.Random(14)):
-        inc = _edge_triangles(tris)
-        comp, orientable = _reference_flood(tris, inc)
-        assert _flood(tris, inc) == (comp, orientable), tris
+        n = 1 + max(v for t in tris for v in t)
+        comp, orientable = _reference_flood(tris, _reference_edge_triangles(tris))
+        assert _flood(tris, _pair_sides(tris, range(len(tris)), n)[0]) == (comp, orientable), tris
+        s = SimpleNamespace(n_vertices=n, triangles=tuple(tris))
+        assert _surface_invariants(s) == _reference_invariants(s)
         kinds.add((max(comp) > 0, orientable))
     assert kinds == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def _builtin_calls(f):
+    """The number of calls of builtin functions and methods while f runs."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "c_call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        f()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_invariants_make_five_builtin_calls_a_triangle():
+    # a setdefault per side, and an append and a pop per triangle of the
+    # flood; the tuple-keyed edge map and its flood made eight a triangle
+    fine = subdivide(subdivide(tetra_sphere()))
+    finer = subdivide(subdivide(fine))
+    extra = len(finer.triangles) - len(fine.triangles)
+    calls = _builtin_calls(lambda: invariants(finer)) - _builtin_calls(lambda: invariants(fine))
+    assert calls <= 5 * extra
 
 
 @given(st.integers(min_value=2, max_value=40))

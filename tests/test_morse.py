@@ -1,9 +1,10 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toposurge.morse import morse_frames
+from toposurge.morse import LevelSetFrame, _chain, _extract_frame, morse_frames
 
 
 def test_branch_counts_through_the_reconnection():
@@ -66,6 +67,9 @@ def test_validation_errors():
         morse_frames([0.0], box=math.inf)
     with pytest.raises(ValueError, match="finite"):
         morse_frames([0.0, math.nan])
+    for resolution in (64.0, "64", None):
+        with pytest.raises(ValueError, match="^resolution must be an integer$"):
+            morse_frames([0.5], resolution=resolution)
 
 
 def test_box_whose_saddle_values_overflow_is_refused():
@@ -73,3 +77,77 @@ def test_box_whose_saddle_values_overflow_is_refused():
     for box in (1e200, 1e308):
         with pytest.raises(ValueError, match="overflows"):
             morse_frames([1.0], box=box, resolution=8)
+
+
+def _reference_extract_frame(t, box, resolution):
+    """The frame as extracted from a full grid of corner values, each cell
+    listing its corners and signs."""
+    n = resolution
+    h = 2.0 * box / n
+    xs = [-box + i * h for i in range(n + 1)]
+    tiny = 1e-300
+    vals = [[(x * x - y * y - t) or tiny for y in xs] for x in xs]
+    segments = []
+
+    def interp(i0, j0, i1, j1):
+        v0 = vals[i0][j0]
+        v1 = vals[i1][j1]
+        s = v0 / (v0 - v1)
+        return (xs[i0] + s * (xs[i1] - xs[i0]), xs[j0] + s * (xs[j1] - xs[j0]))
+
+    for i in range(n):
+        for j in range(n):
+            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+            signs = [vals[a][b] > 0 for a, b in corners]
+            if all(signs) or not any(signs):
+                continue
+            crossings = []
+            for ca, cb in [(0, 1), (1, 2), (2, 3), (3, 0)]:
+                (ia, ja), (ib, jb) = corners[ca], corners[cb]
+                if signs[ca] != signs[cb]:
+                    eid = ((ia, ja), (ib, jb)) if (ia, ja) < (ib, jb) else ((ib, jb), (ia, ja))
+                    crossings.append((eid, interp(ia, ja, ib, jb)))
+            if len(crossings) == 2:
+                segments.append((crossings[0], crossings[1]))
+            elif len(crossings) == 4:
+                cx = 0.25 * sum(vals[a][b] for a, b in corners)
+                pairing = [(0, 3), (1, 2)] if (cx > 0) == signs[0] else [(0, 1), (2, 3)]
+                for p, q in pairing:
+                    segments.append((crossings[p], crossings[q]))
+    return LevelSetFrame(t=t, box=box, resolution=resolution, polylines=tuple(_chain(segments)))
+
+
+@pytest.mark.parametrize("resolution", [8, 64, 256])
+def test_frames_match_the_full_grid_reference(resolution):
+    box = 2.0
+    h = 2.0 * box / resolution
+    tol = h * h
+    xs = [-box + i * h for i in range(resolution + 1)]
+    # the grid nodes (i, j) with x_i^2 - y_j^2 = t give an exact zero
+    node_zero = xs[resolution // 2 + 3] ** 2 - xs[resolution // 2 - 1] ** 2
+    for t in (-1.0, 0.0, 1.0, tol, -tol, node_zero):
+        want = _reference_extract_frame(t, box, resolution)
+        assert _extract_frame(t, box, resolution) == want, t
+        assert want.polylines
+
+
+def test_a_cell_with_no_sign_change_makes_no_builtin_call():
+    # x^2 - y^2 - t < 0 on the whole box, so no cell changes sign; the
+    # full-grid scan made two calls a cell, all() and any()
+    def builtin_calls(resolution):
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "c_call":
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            frame = _extract_frame(5.0, 2.0, resolution)
+        finally:
+            sys.setprofile(None)
+        assert frame.polylines == ()
+        return calls
+
+    assert builtin_calls(64) == builtin_calls(8)

@@ -21,14 +21,14 @@ from toposurge.manifolds import (
     tetra_sphere,
     two_circles,
 )
-from toposurge.manifolds import _edge_triangles, _replaced
+from toposurge.manifolds import _replaced
 from toposurge.surgery import (
     AnnulusSite,
     CurveSite,
     DiscPairSite,
     GluingMap,
     InvalidSite,
-    _subcomplex_boundary,
+    _check_site,
     _tube_triangles,
     all_disc_pairs,
     attach_tube,
@@ -40,7 +40,12 @@ from toposurge.surgery import (
     validate_disc_pair,
 )
 
-from test_manifolds import _reference_verdict
+from test_manifolds import (
+    _reference_edge_triangles,
+    _reference_flood,
+    _reference_invariants,
+    _reference_verdict,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +349,13 @@ def test_mismatched_boundary_lengths_are_zipped():
     s = subdivide(globe(3, 6))
     pair = None
     # a two-triangle disc (boundary length 4) far from a single triangle
-    from toposurge.manifolds import _edges_of, _ukey
-
-    inc = {}
-    for i, t in enumerate(s.triangles):
-        for u, v in _edges_of(t):
-            inc.setdefault(_ukey(u, v), []).append(i)
+    inc = _reference_edge_triangles(s.triangles)
     double = next(v for v in inc.values() if len(v) == 2)
     va = set(s.triangles[double[0]]) | set(s.triangles[double[1]])
     nbr = {v: set() for v in range(s.n_vertices)}
-    for t in s.triangles:
-        for u, v in _edges_of(t):
-            nbr[u].add(v)
-            nbr[v].add(u)
+    for u, v in inc:
+        nbr[u].add(v)
+        nbr[v].add(u)
     for j, t in enumerate(s.triangles):
         if j in double or set(t) & va:
             continue
@@ -391,9 +390,10 @@ def test_every_disc_pair_of_a_klein_bottle_is_glued():
         # the tube follows the surviving triangles, as in compact_surface's input
         assert band == tuple(range(len(k.triangles) - 2, len(t.triangles)))
         rep = invariants(t)
+        assert rep == _reference_invariants(t)
         assert (rep.components, rep.euler_characteristic, rep.orientable) == (1, -2, False)
         back = surgery_2d_1(t, AnnulusSite(band), GluingMap())
-        assert invariants(back) == invariants(k)
+        assert invariants(back) == invariants(k) == _reference_invariants(back)
 
 
 # The earlier construction, kept as the reference for equal boundary
@@ -401,8 +401,36 @@ def test_every_disc_pair_of_a_klein_bottle_is_glued():
 # whole complement again to find each hole's cycle, and glued a tube only
 # between cycles of one length.
 
+def _reference_subcomplex_boundary(tris, inc):
+    """Directed boundary cycles of a sub-complex with edge map ``inc``, or
+    raise if malformed: site validation's boundary walk before the side
+    pairing."""
+    if any(len(ts) > 2 for ts in inc.values()):
+        raise InvalidSite("site sub-complex has an edge in more than 2 triangles")
+    succ = {}
+    for a, b, c in tris:
+        for u, v in ((a, b), (b, c), (c, a)):
+            if len(inc[(u, v) if u < v else (v, u)]) == 1:
+                if u in succ:
+                    raise InvalidSite("site boundary is not a disjoint union of simple cycles")
+                succ[u] = v
+    cycles = []
+    remaining = dict(succ)
+    while remaining:
+        start = min(remaining)
+        cyc = [start]
+        node = remaining.pop(start)
+        while node != start:
+            cyc.append(node)
+            if node not in remaining:
+                raise InvalidSite("site boundary does not close up")
+            node = remaining.pop(node)
+        cycles.append(cyc)
+    return cycles
+
+
 def _reference_hole_cycles(remaining):
-    cycles = _subcomplex_boundary(remaining, _edge_triangles(remaining))
+    cycles = _reference_subcomplex_boundary(remaining, _reference_edge_triangles(remaining))
     return {min(c): c for c in cycles}
 
 
@@ -556,6 +584,58 @@ def test_disc_pair_validation_errors():
         surgery_2d_0(
             s, DiscPairSite(globe_band(1, 6), globe_north_cap(6)), GluingMap()
         )
+
+
+def _reference_check_site(s, indices, label, chi, n_boundary):
+    """Site validation as it was built on the edge map and its flood."""
+    for idx in indices:
+        if not (0 <= idx < len(s.triangles)):
+            raise InvalidSite(f"triangle index {idx} out of range")
+    if not indices:
+        raise InvalidSite(f"{label}: empty triangle set")
+    tris = [s.triangles[i] for i in indices]
+    inc = _reference_edge_triangles(tris)
+    if max(_reference_flood(tris, inc)[0]) != 0:
+        raise InvalidSite(f"{label}: not edge-connected")
+    if len({v for t in tris for v in t}) - len(inc) + len(tris) != chi:
+        raise InvalidSite(f"{label}: Euler characteristic != {chi}")
+    cycles = _reference_subcomplex_boundary(tris, inc)
+    if len(cycles) != n_boundary:
+        raise InvalidSite(f"{label}: {len(cycles)} boundary cycles, expected {n_boundary}")
+    return cycles
+
+
+def test_site_checks_match_the_edge_map_reference():
+    """Runs of consecutive and of random triangles, some listed twice, as
+    discs and as annuli: the same cycles or the same message."""
+    rnd = random.Random(23)
+    k = surgery_2d_0(globe(3, 6), _polar_site(), GluingMap(orientation_flip=True))
+    messages, sites = set(), 0
+    for s in (globe(4, 6), k, subdivide(moebius_kantor_torus())):
+        n = len(s.triangles)
+        for _ in range(300):
+            m = rnd.randint(1, 12)
+            base = rnd.randrange(n)
+            idx = [(base + d) % n for d in range(m)] if rnd.random() < 0.6 else [
+                rnd.randrange(n) for _ in range(m)]
+            idx += rnd.sample(idx, rnd.randint(0, min(2, m)))
+            for args in (("disc A", 1, 1), ("annulus", 0, 2)):
+                outcomes = []
+                for check in (_check_site, _reference_check_site):
+                    try:
+                        outcomes.append(check(s, idx, *args))
+                    except InvalidSite as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], (idx, args)
+                if isinstance(outcomes[0], str):
+                    messages.add(outcomes[0].split(": ")[-1])
+                else:
+                    sites += 1
+    assert sites > 50
+    assert messages == {"not edge-connected", "Euler characteristic != 1",
+                        "Euler characteristic != 0",
+                        "site sub-complex has an edge in more than 2 triangles",
+                        "site boundary is not a disjoint union of simple cycles"}
 
 
 # ---------------------------------------------------------------------------
