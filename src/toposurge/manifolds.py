@@ -314,7 +314,10 @@ class Surface:
     triangles: tuple[Triangle, ...]
 
     def __post_init__(self):
-        n = index(self.n_vertices)
+        try:
+            n = index(self.n_vertices)
+        except TypeError:
+            raise InvalidManifold("the vertex count is not an integer") from None
         tris = _check_stars(n, self.triangles, range(len(self.triangles)), range(n))
         if n is not self.n_vertices:
             object.__setattr__(self, "n_vertices", n)

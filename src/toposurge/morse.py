@@ -6,10 +6,12 @@ rotated a quarter turn.  The grid extraction cannot represent the exact
 node, so frames within grid tolerance of the saddle value are flagged
 ``degenerate`` instead of being given a fake branch count.
 
-The scan holds two grid rows of corner values at a time, each with its row
-of signs.  A cell whose four signs agree holds no contour and is passed
-over by comparing them; only the few cells the level set crosses build
-their crossings.
+Surgery's junction walk chains the segments at the grid edges, so a frame's
+curve is a canonical ``OneManifold`` with chains only.  No component closes
+up: along a grid row x^2 - y^2 - t grows with |x| and along a column it
+falls as |y| grows, in rounded arithmetic too, so every node reaches the
+box edge through nodes of its sign and no sign region is enclosed.  The
+frames are field lines at an X-point (Priest & Forbes 2000).
 """
 
 from __future__ import annotations
@@ -17,8 +19,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from numbers import Real
+
+from .manifolds import OneManifold
+from .surgery import _curve
 
 Point = tuple[float, float]
+Segment = tuple[tuple[tuple, Point], tuple[tuple, Point]]  # 2 x (grid edge, point)
 
 # A frame's time grows as resolution^2: at 2048, about 1 s a frame on a
 # 2-vCPU host, with two grid rows held at a time.  Larger grids are refused
@@ -35,6 +42,7 @@ class LevelSetFrame:
 
     @property
     def branch_count(self) -> int:
+        """The component count of the frame's curve, one polyline each."""
         return len(self.polylines)
 
     @property
@@ -53,6 +61,8 @@ def morse_frames(
     """Marching-squares extraction of {x^2 - y^2 = t} inside [-box, box]^2."""
     if not t_values:
         raise ValueError("empty t list")
+    if not isinstance(box, Real) or not all(isinstance(t, Real) for t in t_values):
+        raise ValueError("box and t values must be real numbers")
     if not all(math.isfinite(t) for t in t_values):
         raise ValueError("t values must be finite")
     try:
@@ -74,21 +84,28 @@ def morse_frames(
 
 
 def _extract_frame(t: float, box: float, resolution: int) -> LevelSetFrame:
+    segments = _scan(t, box, resolution)
+    # chains only: no component closes up (see the module docstring)
+    polylines = [_polyline(segments, chain) for chain in _frame_curve(segments).chains]
+    polylines.sort(key=lambda pl: (len(pl), pl))
+    return LevelSetFrame(t, box, resolution, tuple(polylines))
+
+
+def _scan(t: float, box: float, resolution: int) -> list[Segment]:
+    """The marching-squares segments, in scan order."""
     n = resolution
     h = 2.0 * box / n
     xs = [-box + i * h for i in range(n + 1)]
     sq = [x * x for x in xs]
 
     # corner values x^2 - y^2 - t, one grid row (one x, every y) at a time,
-    # each with its row of signs; exact zeros are nudged positive so
-    # contours never pass through grid nodes (keeps segment chaining
-    # unambiguous)
+    # each with its row of signs; exact zeros are nudged positive so that
+    # contours never pass through grid nodes and a junction is one grid edge
     tiny = 1e-300
     vals1 = [(sq[0] - yy - t) or tiny for yy in sq]
     pos1 = [v > 0 for v in vals1]
 
-    # segments keyed by the grid edges they end on
-    segments: list[tuple[tuple, tuple]] = []
+    segments: list[Segment] = []
 
     for i in range(n):
         vals0, pos0 = vals1, pos1
@@ -100,7 +117,7 @@ def _extract_frame(t: float, box: float, resolution: int) -> LevelSetFrame:
             s1 = pos1[j]
             s2 = pos1[j + 1]
             s3 = pos0[j + 1]
-            if s0 == s1 == s2 == s3:
+            if s0 == s1 == s2 == s3:  # no contour: only crossed cells build crossings
                 continue
             corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
             vals = (vals0[j], vals1[j], vals1[j + 1], vals0[j + 1])
@@ -128,47 +145,25 @@ def _extract_frame(t: float, box: float, resolution: int) -> LevelSetFrame:
                 for p, q in pairing:
                     segments.append((crossings[p], crossings[q]))
 
-    return LevelSetFrame(t=t, box=box, resolution=resolution, polylines=tuple(_chain(segments)))
+    return segments
 
 
-def _chain(segments) -> list[tuple[Point, ...]]:
-    """Join segments endpoint-to-endpoint via shared grid-edge keys."""
-    by_edge: dict[tuple, list[int]] = {}
-    for si, (a, b) in enumerate(segments):
-        by_edge.setdefault(a[0], []).append(si)
-        by_edge.setdefault(b[0], []).append(si)
-
-    used = [False] * len(segments)
-    polylines: list[tuple[Point, ...]] = []
-    for start in range(len(segments)):
-        if used[start]:
-            continue
-        used[start] = True
-        (e0, p0), (e1, p1) = segments[start]
-        left = _extend(segments, by_edge, used, e0)
-        right = _extend(segments, by_edge, used, e1)
-        pts = [p for _, p in reversed(left)] + [p0, p1] + [p for _, p in right]
-        polylines.append(tuple(pts))
-    polylines.sort(key=lambda pl: (len(pl), pl))
-    return polylines
+def _frame_curve(segments: list[Segment]) -> OneManifold:
+    """The curve of one arc per segment, joined at grid edges; a box edge is a free end."""
+    return _curve({si: (a[0], b[0]) for si, (a, b) in enumerate(segments)})
 
 
-def _extend(segments, by_edge, used, edge_key) -> list[tuple]:
-    out = []
-    current = edge_key
-    while True:
-        nxt = None
-        for si in by_edge.get(current, []):
-            if not used[si]:
-                nxt = si
-                break
-        if nxt is None:
-            return out
-        used[nxt] = True
-        (ea, pa), (eb, pb) = segments[nxt]
-        if ea == current:
-            out.append((eb, pb))
-            current = eb
-        else:
-            out.append((ea, pa))
-            current = ea
+def _polyline(segments: list[Segment], chain: tuple[int, ...]) -> tuple[Point, ...]:
+    """A chain's points, its least segment S run from crossing a to b; a shared
+    crossing, which its two cells may round apart, comes from the one nearer S."""
+    p = chain.index(min(chain))
+    (a, pa), (b, pb) = segments[chain[p]]
+    far = {a: [], b: []}  # the points met leaving S at a, and at b
+    for arcs in (chain[:p][::-1], chain[p + 1:]):
+        key = a if arcs and a in dict(segments[arcs[0]]) else b
+        points = far[key]
+        for si in arcs:
+            (e, x), (f, y) = segments[si]
+            key, point = (f, y) if e == key else (e, x)
+            points.append(point)
+    return tuple(far[a][::-1] + [pa, pb] + far[b])

@@ -6,7 +6,8 @@ circle).  It works on one junction map, the same for circles and
 segments: each arc goes from its tail junction to its head junction, a
 junction is named by the arc that leaves it, and a segment's far end by
 a 1-tuple of its last arc.  Surgery swaps the two site arcs of the map
-for two fresh ones, and one walk reads the curve back.
+for two fresh ones, and one walk reads the curve back; it also chains the
+level-set frames of :mod:`toposurge.morse`, at grid edges.
 
 2-dimensional 0-surgery swaps a pair of disc sites for a tube;
 2-dimensional 1-surgery swaps an annulus site for two cone caps.  Both are

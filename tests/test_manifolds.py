@@ -223,6 +223,9 @@ def test_a_vertex_id_that_is_not_an_integer_is_named(triangles, bad):
     with pytest.raises(InvalidManifold,
                        match=f"^triangle {bad} has a vertex id that is not an integer$"):
         Surface(4, triangles)
+    for count in (4.0, "4", None):
+        with pytest.raises(InvalidManifold, match="^the vertex count is not an integer$"):
+            Surface(count, triangles)
 
 
 def test_bool_and_numpy_integer_ids_are_taken_as_ints():
@@ -232,6 +235,8 @@ def test_bool_and_numpy_integer_ids_are_taken_as_ints():
         assert s == tetra_sphere()
         assert all(type(v) is int for t in s.triangles for v in t)
         assert invariants(s) == invariants(tetra_sphere())
+    with pytest.raises(InvalidManifold, match="^surface with no triangles$"):
+        Surface(True, ())  # a bool count passes the integer rule
     s = Surface(3, ((False, True, 2), (0, 2, 1)))
     assert s.triangles == ((0, 1, 2), (0, 2, 1))
     assert invariants(s).euler_characteristic == 2

@@ -1,10 +1,13 @@
+import hashlib
 import math
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toposurge.morse import LevelSetFrame, _chain, _extract_frame, morse_frames
+from toposurge.manifolds import invariants
+from toposurge.morse import _extract_frame, _frame_curve, _scan, morse_frames
+from toposurge.surgery import CurveSite, GluingMap, surgery_1d_0
 
 
 def test_branch_counts_through_the_reconnection():
@@ -51,6 +54,9 @@ def test_two_branches_away_from_the_saddle_value(t):
     if abs(t) > f.grid_tolerance:
         assert not f.degenerate
         assert f.branch_count == 2
+    curve = _frame_curve(_scan(t, 2.0, 64))
+    assert curve.cycles == ()
+    assert f.branch_count == invariants(curve).components
     for pl in f.polylines:
         for x, y in pl:
             assert abs(x * x - y * y - f.t) <= f.grid_tolerance
@@ -70,6 +76,9 @@ def test_validation_errors():
     for resolution in (64.0, "64", None):
         with pytest.raises(ValueError, match="^resolution must be an integer$"):
             morse_frames([0.5], resolution=resolution)
+    for box, t in (("2", 1.0), (None, 1.0), (2j, 1.0), (2.0, "0.5"), (2.0, None), (2.0, 0.5j)):
+        with pytest.raises(ValueError, match="^box and t values must be real numbers$"):
+            morse_frames([1.0, t], box=box)
 
 
 def test_box_whose_saddle_values_overflow_is_refused():
@@ -79,8 +88,8 @@ def test_box_whose_saddle_values_overflow_is_refused():
             morse_frames([1.0], box=box, resolution=8)
 
 
-def _reference_extract_frame(t, box, resolution):
-    """The frame as extracted from a full grid of corner values, each cell
+def _reference_segments(t, box, resolution):
+    """The segments as scanned from a full grid of corner values, each cell
     listing its corners and signs."""
     n = resolution
     h = 2.0 * box / n
@@ -114,7 +123,7 @@ def _reference_extract_frame(t, box, resolution):
                 pairing = [(0, 3), (1, 2)] if (cx > 0) == signs[0] else [(0, 1), (2, 3)]
                 for p, q in pairing:
                     segments.append((crossings[p], crossings[q]))
-    return LevelSetFrame(t=t, box=box, resolution=resolution, polylines=tuple(_chain(segments)))
+    return segments
 
 
 @pytest.mark.parametrize("resolution", [8, 64, 256])
@@ -126,9 +135,9 @@ def test_frames_match_the_full_grid_reference(resolution):
     # the grid nodes (i, j) with x_i^2 - y_j^2 = t give an exact zero
     node_zero = xs[resolution // 2 + 3] ** 2 - xs[resolution // 2 - 1] ** 2
     for t in (-1.0, 0.0, 1.0, tol, -tol, node_zero):
-        want = _reference_extract_frame(t, box, resolution)
-        assert _extract_frame(t, box, resolution) == want, t
-        assert want.polylines
+        want = _reference_segments(t, box, resolution)
+        assert _scan(t, box, resolution) == want, t
+        assert want
 
 
 def test_a_cell_with_no_sign_change_makes_no_builtin_call():
@@ -151,3 +160,54 @@ def test_a_cell_with_no_sign_change_makes_no_builtin_call():
         return calls
 
     assert builtin_calls(64) == builtin_calls(8)
+
+
+def test_polylines_are_pinned_bit_for_bit():
+    # every point and its order, as the polylines were before they went
+    # through the junction walk (commit 1cf346c)
+    digest = hashlib.sha256()
+    for box in (2.0, 0.5):
+        for resolution in (8, 64, 256):
+            h = 2.0 * box / resolution
+            tol = h * h
+            xs = [-box + i * h for i in range(resolution + 1)]
+            node_zero = xs[resolution // 2 + 3] ** 2 - xs[resolution // 2 - 1] ** 2
+            ts = [-1.0, -tol, 0.0, tol, 1.0, 0.37, node_zero]
+            for f in morse_frames(ts, box=box, resolution=resolution):
+                digest.update(repr(f.polylines).encode())
+    assert digest.hexdigest() == (
+        "086780de0c85615aa95f41bc3e6b411a64cc89f8f6b464117b40b787bbb401b1")
+
+
+def _end_pairs(segments, curve):
+    """Each chain's two box-edge ends, labelled by quadrant."""
+    def quadrant(si):
+        x, y = segments[si][0][1]
+        return (x > 0, y > 0)
+
+    return {frozenset((quadrant(c[0]), quadrant(c[-1]))) for c in curve.chains}
+
+
+@pytest.mark.parametrize("t", [-1.0, -0.3])
+def test_surgery_at_the_saddle_reconnects_the_ends_as_the_frame_past_it(t):
+    # the 0-surgery of the reconnection, in dimension 1: cut each branch at
+    # its arc nearest the saddle and glue; one gluing gives the frame at -t
+    segments = _scan(t, 2.0, 64)
+    curve = _frame_curve(segments)
+
+    def saddle_distance(si):
+        (_, (x0, y0)), (_, (x1, y1)) = segments[si]
+        return (x0 + x1) ** 2 + (y0 + y1) ** 2
+
+    site = CurveSite(tuple(min(c, key=lambda si: (saddle_distance(si), si))
+                           for c in curve.chains))
+    past = _scan(-t, 2.0, 64)
+    want = _end_pairs(past, _frame_curve(past))
+    ne, nw, sw, se = (True, True), (False, True), (False, False), (True, False)
+    assert _end_pairs(segments, curve) == {frozenset((ne, nw)), frozenset((sw, se))}
+    assert want == {frozenset((ne, se)), frozenset((nw, sw))}
+    straight, crosswise = (surgery_1d_0(curve, site, GluingMap(orientation_flip=flip))
+                           for flip in (False, True))
+    assert _end_pairs(segments, crosswise) == want
+    assert _end_pairs(segments, straight) == {frozenset((ne, sw)), frozenset((nw, se))}
+    assert straight.cycles == crosswise.cycles == ()
