@@ -285,16 +285,6 @@ class SlowManifold:
     s3: Vec3
     center: Vec3
 
-    def point_at(self, y: float) -> Vec3:
-        return (1.0, y, (1.0 + self.params.C - y) / self.params.A)
-
-    def segment_class(self, y: float) -> str:
-        if 0.0 < y < 1.0:
-            return "attracting"
-        if 1.0 < y < 1.0 + self.params.C:
-            return "repelling"
-        return "outside"
-
     def axis_frame(self) -> tuple[Vec3, Vec3, Vec3]:
         """Orthonormal (u, e1, e2) with u along the S2->S3 axis."""
         d = tuple(b - a for a, b in zip(self.s2, self.s3))

@@ -526,12 +526,3 @@ def genus_g(g: int = 1) -> Surface:
 # tetrahedron boundary, ``torus`` the 7-vertex minimal triangulation.
 STOCK = {"circle": circle, "two_circles": two_circles, "sphere": tetra_sphere,
          "torus": moebius_kantor_torus, "genus_g": genus_g, "globe": globe}
-
-
-def build_standard(kind: str, *sizes: int) -> "OneManifold | Surface":
-    """The stock manifold of ``kind``, a key of :data:`STOCK`, built from
-    ``sizes`` in the order of its builder's parameters; omitted trailing
-    sizes take the builder's defaults."""
-    if kind not in STOCK:
-        raise ValueError(f"unknown kind {kind!r}")
-    return STOCK[kind](*sizes)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from numbers import Real
 
@@ -56,13 +57,19 @@ class LevelSetFrame:
 
 
 def morse_frames(
-    t_values: list[float], box: float = 2.0, resolution: int = 64
+    t_values: Iterable[float], box: float = 2.0, resolution: int = 64
 ) -> list[LevelSetFrame]:
-    """Marching-squares extraction of {x^2 - y^2 = t} inside [-box, box]^2."""
+    """Marching-squares extraction of {x^2 - y^2 = t} inside [-box, box]^2,
+    one frame per t of the iterable t_values."""
+    try:
+        t_values = tuple(t_values)
+    except TypeError:
+        raise ValueError("t values must be an iterable of real numbers") from None
     if not t_values:
         raise ValueError("empty t list")
     if not isinstance(box, Real) or not all(isinstance(t, Real) for t in t_values):
         raise ValueError("box and t values must be real numbers")
+    t_values = [float(t) for t in t_values]
     if not all(math.isfinite(t) for t in t_values):
         raise ValueError("t values must be finite")
     try:

@@ -15,7 +15,9 @@ radius) half-plane:
 ``classify_shell`` therefore counts tube circulations and axis touching;
 ``detect_limit_cycle`` refines a fixed point of the half-plane return map
 by a damped finite-difference Newton iteration, which is what makes the
-weakly attracting cycle near the Hopf onset reachable at all.
+weakly attracting cycle near the Hopf onset reachable at all.  A return is
+the next crossing of the half plane; the start lies on it, so its signed
+distance g counts as 0.
 """
 
 from __future__ import annotations
@@ -305,7 +307,7 @@ def classify_shell(traj: Trajectory) -> ShellClassification:
 # ---------------------------------------------------------------------------
 
 class LimitCycleNotFound(RuntimeError):
-    def __init__(self, message: str, history: tuple[float, ...]):
+    def __init__(self, message: str, history: tuple[float, ...] = ()):
         super().__init__(message)
         self.history = history
 
@@ -320,66 +322,48 @@ class LimitCycle:
     history: tuple[float, ...]
 
 
-class _ReturnMap:
-    """First-return map of the half plane {azimuth = theta0, radius > 0}
-    around the slow-manifold axis, in (height, radius) coordinates."""
+def _half_plane(axis: SlowManifold):
+    """(origin, u, w, n) of the half plane {azimuth = 0, radius > 0} around
+    the slow-manifold axis: its points are origin + h u + r w with r > 0,
+    and n is its normal within the axis-orthogonal plane."""
+    u, e1, e2 = axis.axis_frame()
+    return np.asarray(axis.s2), np.asarray(u), np.asarray(e1), np.asarray(e2)
 
-    def __init__(self, p: SystemParams, axis: SlowManifold, rtol, atol,
-                 t_min: float):
-        self.p = p
-        u, e1, e2 = axis.axis_frame()
-        self.u = np.asarray(u)
-        self.w = np.asarray(e1)       # the half-plane direction (theta0 = 0)
-        self.n = np.asarray(e2)       # its normal within the axis-orthogonal plane
-        self.origin = np.asarray(axis.s2)
-        self.rtol = rtol
-        self.atol = atol
-        # seeds start exactly on the section, so float noise in g at t = 0
-        # would register a bogus zero-time return without this cutoff
-        self.t_min = t_min
 
-    def embed(self, q) -> Vec3:
-        h, r = q
-        pt = self.origin + h * self.u + r * self.w
-        return (float(pt[0]), float(pt[1]), float(pt[2]))
+def _embed(plane, q) -> Vec3:
+    """The point of the half plane at (height, radius) q."""
+    origin, u, w, _ = plane
+    h, r = q
+    pt = origin + h * u + r * w
+    return (float(pt[0]), float(pt[1]), float(pt[2]))
 
-    def project(self, y) -> np.ndarray:
-        d = np.asarray(y) - self.origin
-        return np.array([d @ self.u, d @ self.w])
 
-    def first_return(self, q):
-        """Map (h, r) to its next same-side crossing; returns (q', T).
+def _first_return(p: SystemParams, plane, q, rtol, atol):
+    """Map (h, r) to the next crossing of the half plane; returns (q', T).
 
-        The integration stops at the first accepted step that crosses the
-        half plane from g < 0 to g >= 0 at t >= t_min; RETURN_T_MAX only
-        bounds the search."""
-        y0 = self.embed(q)
-        (o0, o1, o2), (n0, n1, n2), (w0, w1, w2) = (
-            self.origin.tolist(), self.n.tolist(), self.w.tolist()
-        )
+    The integration stops at the first accepted step that crosses the half
+    plane from g < 0 to g >= 0 on its positive side.  The start lies on the
+    plane by construction, so its g counts as 0.0 and not as the rounding
+    noise of its coordinates; RETURN_T_MAX only bounds the search."""
+    origin, u, w, n = plane
+    y0 = _embed(plane, q)
+    (o0, o1, o2), (n0, n1, n2), (w0, w1, w2) = origin.tolist(), n.tolist(), w.tolist()
+    g_prev = 0.0
+    returned = False
 
-        def g(X, Y, Z):
-            return (X - o0) * n0 + (Y - o1) * n1 + (Z - o2) * n2
+    def crossed(t, X, Y, Z):
+        nonlocal g_prev, returned
+        g_lo, g_prev = g_prev, (X - o0) * n0 + (Y - o1) * n1 + (Z - o2) * n2
+        returned = (g_lo < 0.0 <= g_prev
+                    and (X - o0) * w0 + (Y - o1) * w1 + (Z - o2) * w2 > 0.0)
+        return returned
 
-        g_prev = g(*y0)
-        returned = False
-
-        def crossed(t, X, Y, Z):
-            nonlocal g_prev, returned
-            g_lo, g_prev = g_prev, g(X, Y, Z)
-            returned = (g_lo < 0.0 <= g_prev and t >= self.t_min
-                        and (X - o0) * w0 + (Y - o1) * w1 + (Z - o2) * w2 > 0.0)
-            return returned
-
-        traj = integrate(self.p, y0, RETURN_T_MAX, rtol=self.rtol, atol=self.atol,
-                         stop=crossed)
-        if not returned:
-            raise LimitCycleNotFound(
-                f"no return to the section within t = {RETURN_T_MAX}", ()
-            )
-        t_c, y_c = _bisect_crossings(traj, np.array([len(traj) - 2]), self.origin,
-                                     self.n, 1e-13)
-        return self.project(y_c[0]), float(t_c[0])
+    traj = integrate(p, y0, RETURN_T_MAX, rtol=rtol, atol=atol, stop=crossed)
+    if not returned:
+        raise LimitCycleNotFound(f"no return to the section within t = {RETURN_T_MAX}")
+    t_c, y_c = _bisect_crossings(traj, np.array([len(traj) - 2]), origin, n, 1e-13)
+    d = y_c[0] - origin
+    return np.array([d @ u, d @ w]), float(t_c[0])
 
 
 def detect_limit_cycle(
@@ -396,8 +380,10 @@ def detect_limit_cycle(
     toroidal scroll contracts by well under a percent per circuit, so the
     transient lasts tens of thousands of revolutions.  Instead the orbit is
     explored briefly to seed the tube centre, then the return-map fixed
-    point is refined with finite-difference Newton steps.  The exploration
-    only seeds Newton, so it runs at rtol = max(rtol, EXPLORE_RTOL); every
+    point is refined with finite-difference Newton steps.  A return is the
+    next crossing of the half plane after the start, which counts as g = 0,
+    so the fixed point is a loop that winds once.  The exploration only
+    seeds Newton, so it runs at rtol = max(rtol, EXPLORE_RTOL); every
     return, the crossing bisection and the closing loop use rtol and atol
     as given, and so certify the residual and period.  In the B/A = 1
     regime the map has a unit eigenvalue (a continuum of invariant shells),
@@ -416,72 +402,57 @@ def detect_limit_cycle(
     prof = winding_profile(traj, axis)
     hs, rs = section_sequence(prof)
     if len(hs) < 3 or abs(prof.total_turns) < 2.0:
-        raise LimitCycleNotFound("orbit does not wind around the axis", ())
+        raise LimitCycleNotFound("orbit does not wind around the axis")
     half = len(hs) // 2
     q = np.array([hs[half:].mean(), rs[half:].mean()])
 
-    revolution = explore_time / abs(prof.total_turns)
-    rm = _ReturnMap(p, axis, rtol, atol, t_min=0.25 * revolution)
-
+    plane = _half_plane(axis)
     history: list[float] = []
-
-    def first_return(q):
-        """rm.first_return, a failed return carrying the residuals so far."""
-        try:
-            return rm.first_return(q)
-        except LimitCycleNotFound as exc:
-            raise LimitCycleNotFound(str(exc), tuple(history)) from exc
-
-    for _ in range(MAX_NEWTON_ITERATIONS):
-        pq, period = first_return(q)
-        f = pq - q
-        res = float(np.linalg.norm(f))
-        history.append(res)
-        if res < eps_cycle:
-            cycle = _package_cycle(p, rm, q, period, res, history, rtol, atol)
-            size = float(np.ptp(cycle.loop_states, axis=0).max())
-            if size < MIN_CYCLE_SIZE:
-                raise LimitCycleNotFound(
-                    "return iteration collapsed onto a steady point on the "
-                    "axis; no isolated cycle here",
-                    tuple(history),
-                )
-            return cycle
-        # finite-difference Jacobian of the return map
-        delta = 1e-7 * max(1.0, float(np.linalg.norm(q)))
-        jac = np.empty((2, 2))
-        for col in range(2):
-            dq = q.copy()
-            dq[col] += delta
-            pq_d, _ = first_return(dq)
-            jac[:, col] = (pq_d - pq) / delta
-        a = jac - np.eye(2)
-        try:
-            step = np.linalg.solve(a, -f)
-        except np.linalg.LinAlgError:
-            raise LimitCycleNotFound(
-                "return map is singular (no isolated cycle)", tuple(history)
-            )
-        if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 10.0:
-            raise LimitCycleNotFound(
-                "Newton step diverged (no isolated cycle)", tuple(history)
-            )
-        # damped update: keep the radius positive
-        scale = 1.0
-        for _ in range(6):
-            q_new = q + scale * step
-            if q_new[1] > 1e-9:
-                break
-            scale *= 0.5
-        q = q + scale * step
-
-    raise LimitCycleNotFound(
-        f"no convergence within {MAX_NEWTON_ITERATIONS} iterations", tuple(history)
-    )
+    try:
+        for _ in range(MAX_NEWTON_ITERATIONS):
+            pq, period = _first_return(p, plane, q, rtol, atol)
+            f = pq - q
+            res = float(np.linalg.norm(f))
+            history.append(res)
+            if res < eps_cycle:
+                cycle = _package_cycle(p, plane, q, period, res, history, rtol, atol)
+                size = float(np.ptp(cycle.loop_states, axis=0).max())
+                if size < MIN_CYCLE_SIZE:
+                    raise LimitCycleNotFound(
+                        "return iteration collapsed onto a steady point on the "
+                        "axis; no isolated cycle here"
+                    )
+                return cycle
+            # finite-difference Jacobian of the return map
+            delta = 1e-7 * max(1.0, float(np.linalg.norm(q)))
+            jac = np.empty((2, 2))
+            for col in range(2):
+                dq = q.copy()
+                dq[col] += delta
+                pq_d, _ = _first_return(p, plane, dq, rtol, atol)
+                jac[:, col] = (pq_d - pq) / delta
+            a = jac - np.eye(2)
+            try:
+                step = np.linalg.solve(a, -f)
+            except np.linalg.LinAlgError:
+                raise LimitCycleNotFound("return map is singular (no isolated cycle)")
+            if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 10.0:
+                raise LimitCycleNotFound("Newton step diverged (no isolated cycle)")
+            # damped update: keep the radius positive
+            scale = 1.0
+            for _ in range(6):
+                if q[1] + scale * step[1] > 1e-9:
+                    break
+                scale *= 0.5
+            q = q + scale * step
+        raise LimitCycleNotFound(f"no convergence within {MAX_NEWTON_ITERATIONS} iterations")
+    except LimitCycleNotFound as exc:
+        exc.history = tuple(history)
+        raise
 
 
-def _package_cycle(p, rm, q, period, res, history, rtol, atol) -> LimitCycle:
-    anchor = rm.embed(q)
+def _package_cycle(p, plane, q, period, res, history, rtol, atol) -> LimitCycle:
+    anchor = _embed(plane, q)
     loop = integrate(p, anchor, period, rtol=rtol, atol=atol)
     return LimitCycle(
         anchor=anchor,

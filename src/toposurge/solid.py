@@ -64,9 +64,6 @@ class SolidFamily:
     layers: tuple[Layer, ...]
     limit: str  # 'point' | 'circle' | 'two_points'
 
-    def layer_types(self) -> set[str]:
-        return {l.layer_type for l in self.layers}
-
 
 def classify_layer(m: Union[OneManifold, Surface]) -> str:
     """Name the homeomorphism type of a layer from its invariants."""

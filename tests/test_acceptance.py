@@ -21,7 +21,7 @@ from toposurge.dynamics import (
 )
 from toposurge.integrate import integrate
 from toposurge.manifolds import (
-    build_standard,
+    STOCK,
     globe,
     globe_band,
     globe_north_cap,
@@ -169,7 +169,7 @@ def test_criterion_7_surgery_kernel_invariants(announce):
     ok = ok and (r2.components, r2.euler_characteristic, r2.genus) == (2, 4, (0, 0))
 
     for g in range(5):
-        s = build_standard("genus_g", g)
+        s = STOCK["genus_g"](g)
         out = surgery_2d_0(s, find_disc_pair(s), GluingMap())
         ok = ok and invariants(out).genus == (g + 1,)
 

@@ -18,7 +18,7 @@ import toposurge
 from toposurge.cli import main
 from toposurge.dynamics import SystemParams
 from toposurge.integrate import integrate, resample
-from toposurge.manifolds import OneManifold, build_standard, circle, globe, invariants
+from toposurge.manifolds import STOCK, OneManifold, circle, globe, invariants
 from toposurge.serialize import complex_from_dict, complex_to_dict, dumps, fmt, trajectory_csv
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -322,8 +322,8 @@ def test_surgery_json_round_trip(tmp_path, capsys):
 
 def test_every_complex_written_loads_back():
     curve = OneManifold(cycles=((0, 1, 2),), chains=((3, 4), (5,)))
-    for m in [circle(6), curve, globe(), build_standard("genus_g", 2),
-              build_standard("torus"), build_standard("two_circles", 3, 4)]:
+    for m in [circle(6), curve, globe(), STOCK["genus_g"](2),
+              STOCK["torus"](), STOCK["two_circles"](3, 4)]:
         assert complex_from_dict(json.loads(dumps(complex_to_dict(m)))) == m
 
 
@@ -708,6 +708,8 @@ UNREAD_BUILD_FLAGS = [
     ["classify-shell", *P3, "--ic", "nan,1,1"],
     ["poincare", *P3, "--ic", "1,1,nan", "--plane-point", "1,1,1", "--plane-normal", "1,0,0"],
     ["limit-cycle", *P3, "--ic", "inf,1,1"],
+    # a kind that is not a key of manifolds.STOCK
+    ["build", "--kind", "klein", "--out", "{missing}"],
 ])
 def test_bad_input_is_exit_2_with_one_line(tmp_path, argv):
     files = input_files(tmp_path)

@@ -17,6 +17,7 @@ from toposurge.dynamics import (
     slow_manifold,
     steady_states,
 )
+from toposurge.serialize import slow_manifold_to_dict
 
 
 def fd_jacobian(s, p, step=1e-6):
@@ -223,11 +224,11 @@ def test_slow_manifold_geometry():
     sm = slow_manifold(p)
     assert sm.exists
     assert sm.center == (1, 1, 1)
-    assert sm.point_at(4.0) == pytest.approx((1, 4, 0))
-    assert sm.point_at(0.0) == pytest.approx((1, 0, 4 / 3))
-    assert sm.segment_class(0.5) == "attracting"
-    assert sm.segment_class(2.0) == "repelling"
-    assert sm.segment_class(-1.0) == "outside"
+    # L is X = 1, Z = (1 + C - Y) / A: attracting for 0 < Y < 1, repelling
+    # for 1 < Y < 1 + C
+    doc = slow_manifold_to_dict(sm)
+    assert doc["attracting_segment_Y"] == [0.0, 1.0]
+    assert doc["repelling_segment_Y"] == [1.0, 4.0]
     u, e1, e2 = sm.axis_frame()
     for v in (u, e1, e2):
         assert sum(x * x for x in v) == pytest.approx(1.0)
@@ -236,9 +237,10 @@ def test_slow_manifold_geometry():
 
 def test_line_of_steady_states_in_region_a():
     p = SystemParams(3, 3, 3)
-    sm = slow_manifold(p)
-    for y in np.linspace(0.0, 1.0 + p.C, 23):
-        f = rhs(sm.point_at(float(y)), p)
+    assert slow_manifold(p).exists
+    # every point (1, Y, (1 + C - Y) / A) of L is steady
+    for y in np.linspace(0.0, 1.0 + p.C, 23).tolist():
+        f = rhs((1.0, y, (1.0 + p.C - y) / p.A), p)
         assert math.sqrt(sum(x * x for x in f)) < 1e-12
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toposurge.manifolds import (
+    STOCK,
     InvalidManifold,
     InvariantReport,
     OneManifold,
@@ -14,7 +15,6 @@ from toposurge.manifolds import (
     _flood,
     _pair_sides,
     _surface_invariants,
-    build_standard,
     circle,
     globe,
     globe_band,
@@ -59,29 +59,27 @@ def test_chain_euler_characteristic():
     assert rep.euler_characteristic == 2  # one per chain
 
 
-def test_build_standard_dispatch():
-    assert invariants(build_standard("sphere")).euler_characteristic == 2
-    assert invariants(build_standard("torus")).genus == (1,)
-    assert len(build_standard("circle", 6).cycles[0]) == 6
-    assert len(build_standard("two_circles", 4, 4).cycles) == 2
+def test_stock_builders_take_their_sizes():
+    assert invariants(STOCK["sphere"]()).euler_characteristic == 2
+    assert invariants(STOCK["torus"]()).genus == (1,)
+    assert len(STOCK["circle"](6).cycles[0]) == 6
+    assert len(STOCK["two_circles"](4, 4).cycles) == 2
     # omitted sizes take the builder's defaults
-    assert build_standard("circle") == circle(6)
-    assert build_standard("two_circles", 4) == two_circles(4, 6)
-    assert build_standard("globe") == globe(3, 6)
-    assert invariants(build_standard("genus_g")).genus == (1,)
-    with pytest.raises(ValueError):
-        build_standard("klein")
+    assert STOCK["circle"]() == circle(6)
+    assert STOCK["two_circles"](4) == two_circles(4, 6)
+    assert STOCK["globe"]() == globe(3, 6)
+    assert invariants(STOCK["genus_g"]()).genus == (1,)
     with pytest.raises(InvalidManifold):
-        build_standard("circle", 1)
+        STOCK["circle"](1)
     with pytest.raises(InvalidManifold):
-        build_standard("genus_g", -1)
+        STOCK["genus_g"](-1)
 
 
 # at g = 41 the last handle finds no disc pair left, so the surface is
 # subdivided once more before it
 @pytest.mark.parametrize("g", [0, 1, 2, 3, 4, 41])
 def test_genus_builder(g):
-    rep = invariants(build_standard("genus_g", g))
+    rep = invariants(STOCK["genus_g"](g))
     assert rep.components == 1
     assert rep.orientable
     assert rep.euler_characteristic == 2 - 2 * g
@@ -109,7 +107,7 @@ PARTS = {
     "sphere": (tetra_sphere(), 2, True, 0),
     "globe": (globe(3, 5), 2, True, 0),
     "torus": (moebius_kantor_torus(), 0, True, 1),
-    "genus_2": (build_standard("genus_g", 2), -2, True, 2),
+    "genus_2": (STOCK["genus_g"](2), -2, True, 2),
     "klein": (_klein_bottle(), 0, False, None),
 }
 
@@ -527,7 +525,7 @@ def _flood_inputs(rnd):
         for _ in range(5):
             yield _reversed_at_random(s.triangles, rnd)
     klein = PARTS["klein"][0]
-    g4 = build_standard("genus_g", 4)
+    g4 = STOCK["genus_g"](4)
     closed += [klein, attach_tube(g4, find_disc_pair(g4), GluingMap(2, True))[0]]
     for _ in range(20):
         names = rnd.sample(sorted(PARTS), rnd.randint(2, 4))

@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -79,6 +80,15 @@ def test_validation_errors():
     for box, t in (("2", 1.0), (None, 1.0), (2j, 1.0), (2.0, "0.5"), (2.0, None), (2.0, 0.5j)):
         with pytest.raises(ValueError, match="^box and t values must be real numbers$"):
             morse_frames([1.0, t], box=box)
+    with pytest.raises(ValueError, match="^t values must be an iterable of real numbers$"):
+        morse_frames(1.0)
+    # an iterator, a generator and an array of t give the list's frames
+    frames = morse_frames([1.0, -1.0], resolution=8)
+    assert [f.branch_count for f in frames] == [2, 2]
+    for t_values in (iter([1.0, -1.0]), (t for t in (1.0, -1.0)), np.array([1.0, -1.0])):
+        again = morse_frames(t_values, resolution=8)
+        assert again == frames
+        assert all(type(f.t) is float for f in again)
 
 
 def test_box_whose_saddle_values_overflow_is_refused():

@@ -13,7 +13,9 @@ from toposurge.orbits import (
     LimitCycleNotFound,
     WindingProfile,
     _axis_coordinates,
-    _ReturnMap,
+    _embed,
+    _first_return,
+    _half_plane,
     classify_shell,
     detect_limit_cycle,
     poincare,
@@ -334,8 +336,11 @@ def test_limit_cycle_is_pinned(cycle_b):
 
 
 def test_first_return_stops_at_the_crossing_of_a_full_run(monkeypatch):
-    rm = _ReturnMap(PARAMS_B, slow_manifold(PARAMS_B), 1e-10, 1e-12, t_min=0.36)
+    plane = origin, u, w, n = _half_plane(slow_manifold(PARAMS_B))
     q = np.array([3.15, 0.12])
+    # the start's g is negative by rounding: taken as it is, the first step
+    # would cross from g < 0 to g >= 0 and count as a return
+    assert -1e-16 < (np.asarray(_embed(plane, q)) - origin) @ n < 0.0
     runs = []
 
     def recorded(*args, **kwargs):
@@ -343,21 +348,22 @@ def test_first_return_stops_at_the_crossing_of_a_full_run(monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(orbits, "integrate", recorded)
-    pq, period = rm.first_return(q)
+    pq, period = _first_return(PARAMS_B, plane, q, 1e-10, 1e-12)
     (traj,) = runs
     assert traj.t[-2] < period <= traj.t[-1]
 
-    # the first same-side crossing after t_min of the whole 40-unit run
-    full = integrate(PARAMS_B, rm.embed(q), 40.0, rtol=1e-10, atol=1e-12)
+    # the first same-side crossing of the whole 40-unit run, the start on
+    # the plane
+    full = integrate(PARAMS_B, _embed(plane, q), 40.0, rtol=1e-10, atol=1e-12)
     assert full.t[:len(traj)].tolist() == traj.t.tolist()
-    d = np.asarray(full.states) - rm.origin
-    g, side = d @ rm.n, d @ rm.w
-    i = next(i for i in range(len(full) - 1)
-             if g[i] < 0.0 <= g[i + 1] and side[i + 1] > 0.0 and full.t[i + 1] >= 0.36)
+    d = np.asarray(full.states) - origin
+    g, side = d @ n, d @ w
+    g[0] = 0.0
+    i = next(i for i in range(len(full) - 1) if g[i] < 0.0 <= g[i + 1] and side[i + 1] > 0.0)
     t_lo, t_hi = full.t[i], full.t[i + 1]
     for _ in range(60):
         t_mid = 0.5 * (t_lo + t_hi)
-        if (np.asarray(full.state_at(t_mid)) - rm.origin) @ rm.n < 0.0:
+        if (np.asarray(full.state_at(t_mid)) - origin) @ n < 0.0:
             t_lo = t_mid
         else:
             t_hi = t_mid
@@ -365,19 +371,20 @@ def test_first_return_stops_at_the_crossing_of_a_full_run(monkeypatch):
             break
     t_c = 0.5 * (t_lo + t_hi)
     assert period == t_c
-    assert pq.tolist() == rm.project(full.state_at(t_c)).tolist()
+    d_c = np.asarray(full.state_at(t_c)) - origin
+    assert pq.tolist() == [d_c @ u, d_c @ w]
 
 
 def test_a_failed_difference_return_keeps_the_history(monkeypatch):
-    real, calls = _ReturnMap.first_return, []
+    real, calls = orbits._first_return, []
 
-    def second_fails(self, q):
-        calls.append(q)
+    def second_fails(*args):
+        calls.append(args)
         if len(calls) == 2:  # the first finite-difference return
-            raise LimitCycleNotFound("stub", ())
-        return real(self, q)
+            raise LimitCycleNotFound("stub")
+        return real(*args)
 
-    monkeypatch.setattr(_ReturnMap, "first_return", second_fails)
+    monkeypatch.setattr(orbits, "_first_return", second_fails)
     with pytest.raises(LimitCycleNotFound) as exc_info:
         detect_limit_cycle(PARAMS_B, (1.0, 1.0, 1.0))
     assert exc_info.value.history == (0.00253502366370214,)
@@ -446,9 +453,16 @@ def test_limit_cycle_loop_maps_to_itself(cycle_b):
 
 
 def test_limit_cycle_winds_once_per_period(cycle_b):
-    traj = integrate(PARAMS_B, cycle_b.anchor, cycle_b.period, rtol=1e-10, atol=1e-12)
-    prof = winding_profile(traj, slow_manifold(PARAMS_B))
-    assert abs(abs(prof.total_turns) - 1.0) < 1e-6
+    # this region-b exploration lingers (monotone fraction 0.79, 11.7 time
+    # units a turn) while the seed returns at t = 2.24: a return counted
+    # only after a quarter of that mean turn (2.94) is the second one, and
+    # Newton then converges to the twice-around loop of period 4.38
+    p = SystemParams(1.1529051481827184, 1.1673923294938553, 3.1098729948962194)
+    lingering = detect_limit_cycle(p, (0.3478405316750758, 1.296644795597091, 0.8679291245243734))
+    for params, cycle in ((PARAMS_B, cycle_b), (p, lingering)):
+        traj = integrate(params, cycle.anchor, cycle.period, rtol=1e-10, atol=1e-12)
+        prof = winding_profile(traj, slow_manifold(params))
+        assert abs(abs(prof.total_turns) - 1.0) < 1e-6
 
 
 def test_restart_on_cycle_is_immediate(cycle_b):

@@ -1,6 +1,6 @@
 import pytest
 
-from toposurge.manifolds import OneManifold, build_standard
+from toposurge.manifolds import STOCK, OneManifold
 from toposurge.solid import (
     KINDS,
     Layer,
@@ -24,22 +24,26 @@ LAYER_RULES = {
 }
 
 
+def layer_types(fam):
+    return {l.layer_type for l in fam.layers}
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_forward_limit_and_layer_rules(kind):
     fam_in, fam_out = solid_surgery(kind, 5, "forward")
     lim_in, lim_out = LIMIT_RULES[kind]
     lay_in, lay_out = LAYER_RULES[kind]
     assert fam_in.limit == lim_in and fam_out.limit == lim_out
-    assert fam_in.layer_types() == {lay_in}
-    assert fam_out.layer_types() == {lay_out}
+    assert layer_types(fam_in) == {lay_in}
+    assert layer_types(fam_out) == {lay_out}
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_dual_inverts_the_forward_surgery(kind):
     fwd_in, fwd_out = solid_surgery(kind, 3, "forward")
     dual_in, dual_out = solid_surgery(kind, 3, "dual")
-    assert dual_in.layer_types() == fwd_out.layer_types()
-    assert dual_out.layer_types() == fwd_in.layer_types()
+    assert layer_types(dual_in) == layer_types(fwd_out)
+    assert layer_types(dual_out) == layer_types(fwd_in)
     assert dual_in.limit == fwd_out.limit
     assert dual_out.limit == fwd_in.limit
 
@@ -104,7 +108,7 @@ def test_unsupported_kind_errors():
 
 
 def test_layer_without_a_section_rule_is_refused():
-    g2 = build_standard("genus_g", 2)
+    g2 = STOCK["genus_g"](2)
     fam = SolidFamily("solid_2d_0", "output", "forward", (Layer(1.0, g2, classify_layer(g2)),),
                       "circle")
     with pytest.raises(ValueError, match=r"^layer type 'other' has no section rule$"):

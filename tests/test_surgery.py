@@ -337,10 +337,10 @@ def test_orientation_flip_gives_klein_type():
 
 
 def test_genus_increases_by_one():
-    from toposurge.manifolds import build_standard
+    from toposurge.manifolds import STOCK
 
     for g in range(3):
-        s = build_standard("genus_g", g)
+        s = STOCK["genus_g"](g)
         out = surgery_2d_0(s, find_disc_pair(s), GluingMap())
         assert invariants(out).genus == (g + 1,)
 
