@@ -69,7 +69,10 @@ def morse_frames(
         raise ValueError("empty t list")
     if not isinstance(box, Real) or not all(isinstance(t, Real) for t in t_values):
         raise ValueError("box and t values must be real numbers")
-    t_values = [float(t) for t in t_values]
+    try:
+        t_values = [float(t) for t in t_values]
+    except OverflowError:  # an int past float range
+        raise ValueError("t values must be finite") from None
     if not all(math.isfinite(t) for t in t_values):
         raise ValueError("t values must be finite")
     try:
@@ -84,7 +87,10 @@ def morse_frames(
         raise ValueError("box must be positive and finite")
     # |x^2 - y^2 - t| <= box^2 + |t|; only a frame with |t| <= box^2 changes
     # sign, and only there does interpolation subtract two such values
-    b2 = box * box
+    try:
+        b2 = float(box) * float(box)
+    except OverflowError:  # an int box past float range
+        b2 = math.inf
     if not all(math.isfinite((b2 + abs(t)) * (2.0 if abs(t) <= b2 else 1.0)) for t in t_values):
         raise ValueError("box and t are too large: x^2 - y^2 - t overflows")
     return [_extract_frame(t, box, resolution) for t in t_values]

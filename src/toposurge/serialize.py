@@ -163,38 +163,29 @@ def cycle_failure_to_dict(message: str, history) -> dict:
 # ---------------------------------------------------------------------------
 
 def family_to_dict(f: SolidFamily) -> dict:
+    layer = {"type": f.layer_type, "complex": complex_to_dict(f.layer)}
     return {
         "kind": f.kind,
         "role": f.role,
         "direction": f.direction,
         "limit": f.limit,
-        "layers": [
-            {
-                "radius": float(l.radius),
-                "type": l.layer_type,
-                "complex": complex_to_dict(l.manifold),
-            }
-            for l in f.layers
-        ],
+        "layers": [{"radius": float(r), **layer} for r in f.radii],
     }
 
 
 def section_report_to_dict(rep: SectionReport) -> dict:
+    layer = {
+        "type": rep.layer_type,
+        "section_circles": rep.section_circles,
+        "expected_circles": rep.expected_circles,
+        "match": rep.section_circles == rep.expected_circles,
+    }
     return {
         "kind": rep.kind,
         "match": rep.match,
         "limit_section": rep.limit_section,
         "expected_limit": rep.expected_limit,
-        "layers": [
-            {
-                "radius": float(e.radius),
-                "type": e.layer_type,
-                "section_circles": e.section_circles,
-                "expected_circles": e.expected_circles,
-                "match": e.match,
-            }
-            for e in rep.entries
-        ],
+        "layers": [{"radius": float(r), **layer} for r in rep.radii],
     }
 
 

@@ -6,14 +6,16 @@ object, which gets its own limit rule: drilling a ball turns its centre
 point into a circle, splitting a ball turns it into two points, and the
 dual operations collapse those back to a point.  Layers are combinatorial
 manifolds; radii are bookkeeping, not geometry.  Every layer is the same
-complex, so one surgery serves every radius.  The limit and the meridional
-sections are read off the invariants of the layer that surgery built: a
-circle or sphere shrinks to a point and a torus to its core circle, and a
+complex, so a family is one complex and its radii, and one surgery serves
+every radius.  The limit and the meridional section are read off the
+invariants of the complex that surgery built, per family and not per layer:
+a circle or sphere shrinks to a point and a torus to its core circle, and a
 section has one circle per component plus one per handle.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -50,18 +52,16 @@ MAX_LAYERS = 1000
 
 
 @dataclass(frozen=True)
-class Layer:
-    radius: float
-    manifold: Union[OneManifold, Surface]
-    layer_type: str
-
-
-@dataclass(frozen=True)
 class SolidFamily:
+    """The complex ``layer``, of type ``layer_type``, at every radius of
+    ``radii``, around the centre object ``limit`` that it shrinks to."""
+
     kind: str
     role: str  # 'input' | 'output'
     direction: str  # 'forward' | 'dual'
-    layers: tuple[Layer, ...]
+    radii: tuple[float, ...]
+    layer: Union[OneManifold, Surface]
+    layer_type: str
     limit: str  # 'point' | 'circle' | 'two_points'
 
 
@@ -147,40 +147,32 @@ _SURGERY = {
 }
 
 
-# ---------------------------------------------------------------------------
-# family construction
-# ---------------------------------------------------------------------------
-
-def _family(kind: str, role: str, direction: str, radii: list[float],
-            m: Union[OneManifold, Surface]) -> SolidFamily:
-    layer_type = classify_layer(m)
-    layers = tuple(Layer(r, m, layer_type) for r in radii)
-    return SolidFamily(kind, role, direction, layers, _core(m))
-
-
 def solid_surgery(
     kind: str, n_layers: int, direction: str = "forward"
 ) -> tuple[SolidFamily, SolidFamily]:
-    """Build the canonical layered family and apply the surgery layerwise.
+    """The (input family, output family) of the solid surgery ``kind``.
 
-    Returns (input family, output family).  Radii follow the uniform
-    schedule i/n; the outermost layer always has radius 1.  The surgery
-    runs once: its input and output are the layers at every radius.
+    Radii follow the uniform schedule i/n; the outermost layer always has
+    radius 1.  The surgery runs once: its input and output are the layers
+    at every radius.
     """
     if kind not in KINDS:
         raise ValueError(f"unsupported kind {kind!r}")
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
+    try:
+        n_layers = operator.index(n_layers)
+    except TypeError:
+        raise ValueError("n_layers must be an integer") from None
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
     if n_layers > MAX_LAYERS:
         raise ValueError(f"n_layers must be <= {MAX_LAYERS}")
 
-    radii = [(i + 1) / n_layers for i in range(n_layers)]
-    m_in, m_out = _SURGERY[kind, direction]()
-    return (
-        _family(kind, "input", direction, radii, m_in),
-        _family(kind, "output", direction, radii, m_out),
+    radii = tuple((i + 1) / n_layers for i in range(n_layers))
+    return tuple(
+        SolidFamily(kind, role, direction, radii, m, classify_layer(m), _core(m))
+        for role, m in zip(("input", "output"), _SURGERY[kind, direction]())
     )
 
 
@@ -189,34 +181,31 @@ def solid_surgery(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SectionEntry:
-    radius: float
+class SectionReport:
+    """A family's meridional section, the same at every radius, beside the
+    one-dimension-lower surgery's at the same stage."""
+
+    kind: str
+    radii: tuple[float, ...]
     layer_type: str
     section_circles: int
     expected_circles: int
-    match: bool
-
-
-@dataclass(frozen=True)
-class SectionReport:
-    kind: str
-    entries: tuple[SectionEntry, ...]
     limit_section: str
     expected_limit: str
-    limit_match: bool
 
     @property
     def match(self) -> bool:
-        return self.limit_match and all(e.match for e in self.entries)
+        return (self.section_circles == self.expected_circles
+                and self.limit_section == self.expected_limit)
 
 
-def _section_circles(layer: Layer) -> int:
-    """Circles in a meridional section of the layer: one per component plus
+def _section_circles(f: SolidFamily) -> int:
+    """Circles in a meridional section of f's layer: one per component plus
     one per handle.  The rule covers orientable layers whose section has at
     most two circles."""
-    components, handles, orientable = _shape(layer.manifold)
+    components, handles, orientable = _shape(f.layer)
     if not orientable or components + handles > 2:
-        raise ValueError(f"layer type {layer.layer_type!r} has no section rule")
+        raise ValueError(f"layer type {f.layer_type!r} has no section rule")
     return components + handles
 
 
@@ -227,29 +216,19 @@ def _limit_section(limit: str) -> str:
 
 
 def cross_section_check(f: SolidFamily) -> SectionReport:
-    """Compare each layer's meridional section against the one-dimension-
+    """Compare the family's meridional section against the one-dimension-
     lower solid surgery at the same stage: sphere layers cut to one circle,
     torus and split-sphere layers to two, and the limit objects obey
     point -> point, circle -> two points."""
     if f.kind not in KINDS:
         raise ValueError(f"unsupported kind {f.kind!r}")
-    ref_in, ref_out = solid_surgery("solid_1d_0", 1, f.direction)
-    ref = ref_out if f.role == "output" else ref_in
-    expected = _section_circles(ref.layers[0])
-
-    entries = []
-    for layer in f.layers:
-        got = _section_circles(layer)
-        entries.append(
-            SectionEntry(layer.radius, layer.layer_type, got, expected, got == expected)
-        )
-
-    limit_section = _limit_section(f.limit)
-    expected_limit = _limit_section(ref.limit)
+    ref = solid_surgery("solid_1d_0", 1, f.direction)[f.role == "output"]
     return SectionReport(
         kind=f.kind,
-        entries=tuple(entries),
-        limit_section=limit_section,
-        expected_limit=expected_limit,
-        limit_match=limit_section == expected_limit,
+        radii=f.radii,
+        layer_type=f.layer_type,
+        section_circles=_section_circles(f),
+        expected_circles=_section_circles(ref),
+        limit_section=_limit_section(f.limit),
+        expected_limit=_limit_section(ref.limit),
     )

@@ -21,6 +21,7 @@ non-orientable results and exists as a deliberate negative test surface).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -201,7 +202,11 @@ def _check_site(
     boundary cycles; return the cycles, directed as the sub-complex sees
     them."""
     for idx in indices:
-        if not (0 <= idx < len(s.triangles)):
+        try:
+            in_range = 0 <= operator.index(idx) < len(s.triangles)
+        except TypeError:
+            raise InvalidSite(f"triangle index {idx!r} is not an integer") from None
+        if not in_range:
             raise InvalidSite(f"triangle index {idx} out of range")
     if not indices:
         raise InvalidSite(f"{label}: empty triangle set")
@@ -262,10 +267,14 @@ def _tube_triangles(
     along A iff (i + 1) / n <= (j + 1) / m, so for n = m the steps
     alternate.
     """
+    try:
+        rotation = operator.index(g.rotation)
+    except TypeError:
+        raise InvalidSite(f"gluing rotation {g.rotation!r} is not an integer") from None
     n, m = len(cycle_a), len(cycle_b)
     sign = 1 if g.orientation_flip else -1
     a = cycle_a + cycle_a[:1]
-    b = [cycle_b[(sign * j - g.rotation) % m] for j in range(m + 1)]
+    b = [cycle_b[(sign * j - rotation) % m] for j in range(m + 1)]
     tris: list[Triangle] = []
     i = j = 0
     for _ in range(n + m):

@@ -93,9 +93,18 @@ def test_validation_errors():
 
 def test_box_whose_saddle_values_overflow_is_refused():
     # unchecked, x * x overflows: NaN polylines at 1e200, no branch at 1e308
-    for box in (1e200, 1e308):
-        with pytest.raises(ValueError, match="overflows"):
+    overflows = r"^box and t are too large: x\^2 - y\^2 - t overflows$"
+    for box in (1e200, 1e308, 10**200, 10**400):
+        with pytest.raises(ValueError, match=overflows):
             morse_frames([1.0], box=box, resolution=8)
+    # a t past float range given as an int
+    for t in (10**400, -10**400):
+        with pytest.raises(ValueError, match="^t values must be finite$"):
+            morse_frames([t], resolution=8)
+    # an int box in range is stored as given
+    (frame,) = morse_frames([1.0], box=2, resolution=8)
+    assert frame.box == 2 and type(frame.box) is int
+    assert frame == morse_frames([1.0], box=2.0, resolution=8)[0]
 
 
 def _reference_segments(t, box, resolution):

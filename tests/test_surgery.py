@@ -166,6 +166,9 @@ def test_curve_site_errors():
         surgery_1d_0(m, CurveSite((1, 99)), GluingMap())
     with pytest.raises(InvalidSite):
         surgery_1d_0(m, CurveSite((1, 2)), GluingMap())  # adjacent arcs
+    # an arc id is looked up, not indexed: a float equal to an id names it
+    assert surgery_1d_0(m, CurveSite((0.0, 3)), GluingMap()) == surgery_1d_0(
+        m, CurveSite((0, 3)), GluingMap())
 
 
 @pytest.mark.parametrize("arcs", [(1,), (1, 2, 5), ()])
@@ -584,6 +587,13 @@ def test_disc_pair_validation_errors():
         surgery_2d_0(
             s, DiscPairSite(globe_band(1, 6), globe_north_cap(6)), GluingMap()
         )
+    for site, idx in ((DiscPairSite((0.0,), (30,)), "0.0"), (DiscPairSite(("0",), (30,)), "'0'"),
+                      (DiscPairSite((0,), (30.0,)), "30.0")):
+        with pytest.raises(InvalidSite, match=f"^triangle index {idx} is not an integer$"):
+            surgery_2d_0(s, site, GluingMap())
+    for rotation in (1.5, "1", None):
+        with pytest.raises(InvalidSite, match=f"^gluing rotation {rotation!r} is not an integer$"):
+            surgery_2d_0(s, DiscPairSite((0,), (30,)), GluingMap(rotation))
 
 
 def _reference_check_site(s, indices, label, chi, n_boundary):
@@ -671,6 +681,8 @@ def test_annulus_validation_errors():
         surgery_2d_1(s, AnnulusSite((0, 1, 2, 999)), GluingMap())
     with pytest.raises(InvalidSite):  # disconnected: two opposite cap triangles
         surgery_2d_1(s, AnnulusSite((0, 31)), GluingMap())
+    with pytest.raises(InvalidSite, match="^triangle index 18.0 is not an integer$"):
+        surgery_2d_1(s, AnnulusSite(tuple(float(i) for i in globe_band(1, 6))), GluingMap())
 
 
 # ---------------------------------------------------------------------------
