@@ -16,13 +16,14 @@ from dataclasses import asdict
 
 from . import manifolds, morse, solid
 from .dynamics import REGION_B, SystemParams, equilibria, region, slow_manifold
-from .integrate import IntegrationError, Trajectory, integrate
+from .integrate import MAX_STEPS, IntegrationError, Trajectory, integrate
 from .manifolds import invariants
 from .orbits import (
     LimitCycleNotFound,
     classify_shell,
     detect_limit_cycle,
     poincare,
+    section_plane,
 )
 from .serialize import (
     atomic_write_text,
@@ -139,8 +140,8 @@ def cmd_equilibria(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.resample == 1 or args.resample < 0:
-        raise ValueError("--resample must be 0 (raw steps) or at least 2")
+    if args.resample and not 2 <= args.resample <= MAX_STEPS:
+        raise ValueError(f"--resample must be 0 (raw steps) or in [2, {MAX_STEPS}]")
     _emit(trajectory_csv(_orbit(args), resample_n=args.resample), args.out)
     return 0
 
@@ -158,6 +159,7 @@ def cmd_classify_shell(args) -> int:
 def cmd_poincare(args) -> int:
     point = _triple(args.plane_point, "--plane-point")
     normal = _triple(args.plane_normal, "--plane-normal")
+    section_plane(point, normal)  # a bad plane is refused before the orbit is integrated
     crossings = poincare(_orbit(args), point, normal)
     doc = {"count": len(crossings), "crossings": [asdict(c) for c in crossings]}
     _emit(dumps(doc), args.out)
@@ -195,6 +197,13 @@ def cmd_surgery(args) -> int:
     kind = ("1-dimensional 0-surgery" if args.dim == 1
             else f"2-dimensional {args.type or 0}-surgery")
     _reject_unread(args, _SURGERY_UNUSED[kind], kind)
+    if args.dim == 1:
+        surgery, site = surgery_1d_0, CurveSite(_int_list(args.site, "--site"))
+    elif args.type == 1:
+        surgery, site = surgery_2d_1, AnnulusSite(_int_list(args.site, "--site"))
+    else:
+        surgery, site = surgery_2d_0, DiscPairSite(
+            _int_list(args.site_a, "--site-a"), _int_list(args.site_b, "--site-b"))
     with open(args.input) as f:
         try:
             doc = json.load(f)
@@ -206,16 +215,7 @@ def cmd_surgery(args) -> int:
     if (args.dim == 1) != isinstance(m, manifolds.OneManifold):
         raise ValueError(f"--dim {args.dim} needs a {'curve' if args.dim == 1 else 'surface'}")
     g = GluingMap(orientation_flip=bool(args.flip), **_given(args, "rotation"))
-    if args.dim == 1:
-        result = surgery_1d_0(m, CurveSite(_int_list(args.site, "--site")), g)
-    elif args.type == 1:
-        result = surgery_2d_1(m, AnnulusSite(_int_list(args.site, "--site")), g)
-    else:
-        site = DiscPairSite(
-            _int_list(args.site_a, "--site-a"), _int_list(args.site_b, "--site-b")
-        )
-        result = surgery_2d_0(m, site, g)
-    _emit_complex(result, args.out)
+    _emit_complex(surgery(m, site, g), args.out)
     return 0
 
 
@@ -275,12 +275,12 @@ def cmd_solid_demo(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    with open(args.infile) as f:
-        rows = read_trajectory_csv(f.read())
     markers = None
     if args.equilibria:
         p = SystemParams(*_triple(args.equilibria, "--equilibria"))
         markers = [(e.label, e.coordinates) for e in equilibria(p)]
+    with open(args.infile) as f:
+        rows = read_trajectory_csv(f.read())
     _emit(trajectory_svg(rows, markers=markers, **_given(args, "projection")), args.out)
     return 0
 

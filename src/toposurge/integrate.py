@@ -61,7 +61,7 @@ class IntegrationError(RuntimeError):
 
 
 _TOL_MIN, _TOL_MAX = 1e-13, 1e-3
-_MAX_STEPS = 5_000_000  # accepted plus rejected steps in one integration
+MAX_STEPS = 5_000_000  # accepted plus rejected steps in one integration
 _BUDGET_CHECK = 2 ** 16  # steps between two projections of the step budget
 
 # Dormand-Prince 5(4) tableau.  The last row of _A is also the 5th-order
@@ -172,8 +172,8 @@ def integrate(
     stop(t, X, Y, Z), if given, is called after every accepted step; once
     it returns true the integration ends there, that step included.  The
     steps before it are the ones an integration without stop takes.
-    Without stop, the last step is clamped to end at t_end exactly, so
-    t[-1] == t_end.
+    Unless stop ended the run, the last step is clamped to end at t_end
+    exactly, so t[-1] == t_end.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
@@ -184,7 +184,7 @@ def integrate(
         raise ValueError("tolerances must lie in [1e-13, 1e-3]")
 
     A, C, nB = p.A, p.C, -p.B
-    sqrt, max_steps = math.sqrt, _MAX_STEPS
+    sqrt, max_steps = math.sqrt, MAX_STEPS
     (
         _,
         (a10,),
@@ -343,8 +343,8 @@ def hermite_weights(s):
 def resample(traj: Trajectory, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Times (n,) and states (n, 3) on a uniform grid via dense output; n is
     at most 5,000,000, the most steps one integration may take."""
-    if not 2 <= n <= _MAX_STEPS:
-        raise ValueError(f"resample points must lie in [2, {_MAX_STEPS}]")
+    if not 2 <= n <= MAX_STEPS:
+        raise ValueError(f"resample points must lie in [2, {MAX_STEPS}]")
     t0, t1 = float(traj.t[0]), traj.t_end
     ts = t0 + (t1 - t0) * np.arange(n) / (n - 1)
     return ts, traj.state_at(ts)

@@ -92,10 +92,6 @@ def two_circles(n: int = 6, m: int = 6) -> OneManifold:
 Triangle = tuple[int, int, int]
 
 
-def _ukey(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 def _pair_sides(
     tris: Sequence[Triangle], star: Iterable[int], n: int
 ) -> tuple[list[int], dict[int, int]]:
@@ -393,23 +389,22 @@ def moebius_kantor_torus() -> Surface:
 
 
 def subdivide(s: Surface) -> Surface:
-    """1-to-4 midpoint subdivision; preserves topology and orientation."""
-    mid: dict[tuple[int, int], int] = {}
-    nv = s.n_vertices
+    """1-to-4 midpoint subdivision; preserves topology and orientation.
+
+    The midpoint of edge {u, v}, u < v, is keyed u * n + v, as in
+    :func:`_pair_sides`; midpoints are numbered from n in order of first
+    appearance."""
+    n = s.n_vertices
+    mid: dict[int, int] = {}
 
     def midpoint(u: int, v: int) -> int:
-        nonlocal nv
-        k = _ukey(u, v)
-        if k not in mid:
-            mid[k] = nv
-            nv += 1
-        return mid[k]
+        return mid.setdefault(u * n + v if u < v else v * n + u, n + len(mid))
 
     tris: list[Triangle] = []
     for a, b, c in s.triangles:
         ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
         tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-    return Surface(nv, tuple(tris))
+    return Surface(n + len(mid), tuple(tris))
 
 
 def globe(rings: int = 3, segments: int = 6) -> Surface:

@@ -89,11 +89,9 @@ def _bisect_crossings(traj: Trajectory, i: np.ndarray, point, normal,
     return t_c, traj.state_at(t_c)
 
 
-def poincare(
-    traj: Trajectory, plane_point: Vec3, plane_normal: Vec3
-) -> list[SectionCrossing]:
-    """Plane crossings located by sign change plus bisection on the cubic
-    Hermite interpolant between accepted steps."""
+def section_plane(plane_point: Vec3, plane_normal: Vec3) -> tuple[np.ndarray, np.ndarray]:
+    """The plane as (point, unit normal); a point or normal that is not
+    finite, or a zero normal, raises ValueError."""
     n = np.asarray(plane_normal, dtype=float)
     p0 = np.asarray(plane_point, dtype=float)
     if not (np.isfinite(n).all() and np.isfinite(p0).all()):
@@ -104,6 +102,15 @@ def poincare(
     # dividing by the largest component first keeps the norm finite and nonzero
     n /= scale
     n /= np.linalg.norm(n)
+    return p0, n
+
+
+def poincare(
+    traj: Trajectory, plane_point: Vec3, plane_normal: Vec3
+) -> list[SectionCrossing]:
+    """Plane crossings located by sign change plus bisection on the cubic
+    Hermite interpolant between accepted steps."""
+    p0, n = section_plane(plane_point, plane_normal)
     if len(traj) < 2:
         return []
 

@@ -7,17 +7,17 @@ point into a circle, splitting a ball turns it into two points, and the
 dual operations collapse those back to a point.  Layers are combinatorial
 manifolds; radii are bookkeeping, not geometry.  Every layer is the same
 complex, so a family is one complex and its radii, and one surgery serves
-every radius.  The limit and the meridional section are read off the
-invariants of the complex that surgery built, per family and not per layer:
-a circle or sphere shrinks to a point and a torus to its core circle, and a
-section has one circle per component plus one per handle.
+every radius.  A family reads its layer type, limit and meridional section
+off one invariants read of that complex, when it is built: a circle or
+sphere shrinks to a point and a torus to its core circle, and a section has
+one circle per component plus one per handle.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 from .manifolds import (
     OneManifold,
@@ -53,50 +53,54 @@ MAX_LAYERS = 1000
 
 @dataclass(frozen=True)
 class SolidFamily:
-    """The complex ``layer``, of type ``layer_type``, at every radius of
-    ``radii``, around the centre object ``limit`` that it shrinks to."""
+    """The complex ``layer`` at every radius of ``radii``.
+
+    ``layer_type``, the centre object ``limit`` that the layers shrink to
+    and ``section_circles``, the circles of a meridional section, are read
+    off ``layer`` once, when the family is built (see :func:`_read`).
+    """
 
     kind: str
     role: str  # 'input' | 'output'
     direction: str  # 'forward' | 'dual'
     radii: tuple[float, ...]
     layer: Union[OneManifold, Surface]
-    layer_type: str
-    limit: str  # 'point' | 'circle' | 'two_points'
+    layer_type: str = field(init=False)
+    limit: Optional[str] = field(init=False)  # 'point' | 'circle' | 'two_points'
+    section_circles: Optional[int] = field(init=False)
+
+    def __post_init__(self):
+        for name, value in zip(("layer_type", "limit", "section_circles"), _read(self.layer)):
+            object.__setattr__(self, name, value)
+
+
+def _read(m: Union[OneManifold, Surface]) -> tuple[str, Optional[str], Optional[int]]:
+    """(type, limit, section circles) of layer m from one invariants read.
+
+    The type names m's homeomorphism class.  The limit is what the solid
+    filled by m shrinks to: a circle or sphere bounds a disc or ball, which
+    shrinks to a point, and a torus bounds a solid torus, which shrinks to
+    its core circle; any other shape has None.  A meridional section has one
+    circle per component plus one per handle; the rule covers orientable
+    layers whose section has at most two circles, and any other has None.
+    """
+    rep = invariants(m)
+    components, chi = rep.components, rep.euler_characteristic
+    handles = sum(rep.genus or ())  # a 1-manifold has no handles
+    if isinstance(m, OneManifold):  # a chain counts 1 in chi, a cycle 0
+        name = "other" if chi else {1: "circle", 2: "two_circles"}.get(
+            components, f"{components}_circles")
+    else:  # chi 2 a component holds only on a sphere, so those keys are orientable
+        name = {(1, 2, True): "sphere", (1, 0, True): "torus", (2, 4, True): "two_spheres"}.get(
+            (components, chi, rep.orientable), "other")
+    limit = {(1, 0): "point", (2, 0): "two_points", (1, 1): "circle"}.get((components, handles))
+    circles = components + handles
+    return name, limit, circles if rep.orientable and circles <= 2 else None
 
 
 def classify_layer(m: Union[OneManifold, Surface]) -> str:
     """Name the homeomorphism type of a layer from its invariants."""
-    rep = invariants(m)
-    if isinstance(m, OneManifold):
-        if rep.euler_characteristic != 0:  # a chain counts 1, a cycle 0
-            return "other"
-        if rep.components == 1:
-            return "circle"
-        if rep.components == 2:
-            return "two_circles"
-        return f"{rep.components}_circles"
-    if rep.components == 1 and rep.euler_characteristic == 2:
-        return "sphere"
-    if rep.components == 1 and rep.euler_characteristic == 0 and rep.orientable:
-        return "torus"
-    if rep.components == 2 and rep.euler_characteristic == 4:
-        return "two_spheres"
-    return "other"
-
-
-def _shape(m: Union[OneManifold, Surface]) -> tuple[int, int, bool]:
-    """(components, handles, orientable); a 1-manifold has no handles."""
-    rep = invariants(m)
-    return rep.components, sum(rep.genus or ()), rep.orientable
-
-
-def _core(m: Union[OneManifold, Surface]) -> str:
-    """What the solid filled by layer m shrinks to: a circle or sphere
-    bounds a disc or ball, which shrinks to a point, and a torus bounds a
-    solid torus, which shrinks to its core circle."""
-    components, handles, _ = _shape(m)
-    return {(1, 0): "point", (2, 0): "two_points", (1, 1): "circle"}[components, handles]
+    return _read(m)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +175,7 @@ def solid_surgery(
 
     radii = tuple((i + 1) / n_layers for i in range(n_layers))
     return tuple(
-        SolidFamily(kind, role, direction, radii, m, classify_layer(m), _core(m))
+        SolidFamily(kind, role, direction, radii, m)
         for role, m in zip(("input", "output"), _SURGERY[kind, direction]())
     )
 
@@ -199,16 +203,6 @@ class SectionReport:
                 and self.limit_section == self.expected_limit)
 
 
-def _section_circles(f: SolidFamily) -> int:
-    """Circles in a meridional section of f's layer: one per component plus
-    one per handle.  The rule covers orientable layers whose section has at
-    most two circles."""
-    components, handles, orientable = _shape(f.layer)
-    if not orientable or components + handles > 2:
-        raise ValueError(f"layer type {f.layer_type!r} has no section rule")
-    return components + handles
-
-
 def _limit_section(limit: str) -> str:
     """A meridional plane meets a centre point in a point, and a centre
     circle or two centre points in two points."""
@@ -222,13 +216,15 @@ def cross_section_check(f: SolidFamily) -> SectionReport:
     point -> point, circle -> two points."""
     if f.kind not in KINDS:
         raise ValueError(f"unsupported kind {f.kind!r}")
+    if f.section_circles is None:
+        raise ValueError(f"layer type {f.layer_type!r} has no section rule")
     ref = solid_surgery("solid_1d_0", 1, f.direction)[f.role == "output"]
     return SectionReport(
         kind=f.kind,
         radii=f.radii,
         layer_type=f.layer_type,
-        section_circles=_section_circles(f),
-        expected_circles=_section_circles(ref),
+        section_circles=f.section_circles,
+        expected_circles=ref.section_circles,
         limit_section=_limit_section(f.limit),
         expected_limit=_limit_section(ref.limit),
     )

@@ -710,12 +710,29 @@ UNREAD_BUILD_FLAGS = [
     ["limit-cycle", *P3, "--ic", "inf,1,1"],
     # a kind that is not a key of manifolds.STOCK
     ["build", "--kind", "klein", "--out", "{missing}"],
+    # options are checked before an integration that would run out of steps
+    ["simulate", *P3, "--ic", "1,1.3,0.89", "--t-end", "1e9", "--resample", "30000000"],
+    ["poincare", *P3, "--ic", "1,1.3,0.89", "--t-end", "1e9",
+     "--plane-point", "1,1,1", "--plane-normal", "0,0,0"],
+    ["poincare", *P3, "--ic", "1,1.3,0.89", "--t-end", "1e9",
+     "--plane-point", "nan,1,1", "--plane-normal", "1,0,0"],
 ])
 def test_bad_input_is_exit_2_with_one_line(tmp_path, argv):
     files = input_files(tmp_path)
     code, out, err = run_in_process([a.format(**files) for a in argv])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["plot", "--in", "{missing}", "--equilibria", "3,3,inf"],
+     "error: parameters A, B, C must all be positive and finite\n"),
+    (["surgery", "--input", "{missing}", "--dim", "2", "--type", "1"],
+     "error: this surgery needs --site\n"),
+])
+def test_options_are_checked_before_the_input_file_is_read(tmp_path, argv, err):
+    files = input_files(tmp_path)
+    assert run_in_process([a.format(**files) for a in argv]) == (2, "", err)
 
 
 def test_surgery_names_the_flag_it_does_not_read(tmp_path):

@@ -253,14 +253,16 @@ def test_a_clamped_last_step_ends_at_t_end_exactly():
     assert traj.t.tolist() == [0.0, 0.08199654617818143, t_end]
     assert traj.stats.n_accepted == 2
     # with t + (t_end - t) as the last time, 3 of these 2,000 short runs
-    # would end one ulp short of t_end
+    # would end one ulp short of t_end; a stop that never fires clamps too
     rng = random.Random(22)
     for _ in range(2000):
         p = SystemParams(*(rng.uniform(0.3, 4.0) for _ in range(3)))
         ic = tuple(rng.uniform(0.05, 2.5) for _ in range(3))
         t_end = rng.uniform(0.01, 1.0)
-        traj = integrate(p, ic, t_end, rtol=10 ** rng.uniform(-6, -3))
-        assert traj.t[-1] == t_end and traj.stats.n_accepted == len(traj) - 1
+        rtol = 10 ** rng.uniform(-6, -3)
+        for stop in (None, lambda t, x, y, z: False):
+            traj = integrate(p, ic, t_end, rtol=rtol, stop=stop)
+            assert traj.t[-1] == t_end and traj.stats.n_accepted == len(traj) - 1
 
 
 def reference_integrate(p, ic, t_end, rtol=1e-9, atol=1e-12, stop=None):

@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from toposurge import cli, solid
-from toposurge.manifolds import STOCK, OneManifold
+from toposurge.manifolds import STOCK, OneManifold, circle
 from toposurge.solid import (
+    DIRECTIONS,
     KINDS,
     SolidFamily,
     classify_layer,
@@ -105,15 +106,20 @@ def test_unsupported_kind_errors():
     for n_layers in (2.5, "3", None):
         with pytest.raises(ValueError, match="^n_layers must be an integer$"):
             solid_surgery("solid_2d_0", n_layers)
-    circle = OneManifold(((0, 1, 2),))
-    bogus = SolidFamily("solid_9d_9", "input", "forward", (1.0,), circle, "circle", "point")
+    bogus = SolidFamily("solid_9d_9", "input", "forward", (1.0,), OneManifold(((0, 1, 2),)))
     with pytest.raises(ValueError):
         cross_section_check(bogus)
 
 
+def test_a_family_is_read_off_its_layer():
+    fam = SolidFamily("solid_1d_0", "input", "forward", (0.5, 1.0), circle(8))
+    assert fam.layer_type == "circle" and fam.limit == "point" and fam.section_circles == 1
+
+
 def test_layer_without_a_section_rule_is_refused():
     g2 = STOCK["genus_g"](2)
-    fam = SolidFamily("solid_2d_0", "output", "forward", (1.0,), g2, classify_layer(g2), "circle")
+    fam = SolidFamily("solid_2d_0", "output", "forward", (1.0,), g2)
+    assert (fam.layer_type, fam.limit, fam.section_circles) == ("other", None, None)
     with pytest.raises(ValueError, match=r"^layer type 'other' has no section rule$"):
         cross_section_check(fam)
 
@@ -130,9 +136,10 @@ def test_a_curve_with_a_chain_is_no_circle(cycles, chains):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_invariants_are_read_per_family_not_per_layer(kind, monkeypatch):
-    """A family is one complex: building the pair and checking both sections
-    reads invariants as often at 1,000 layers as at one."""
+def test_invariants_are_read_per_family_not_per_layer(kind, monkeypatch, capsys):
+    """A family is one complex, read once when it is built: solid-demo reads
+    invariants once for each family of its pair and each of the two 1-D
+    references, at 1,000 layers as at one."""
     real, calls = solid.invariants, []
 
     def counted(m):
@@ -140,13 +147,15 @@ def test_invariants_are_read_per_family_not_per_layer(kind, monkeypatch):
         return real(m)
 
     monkeypatch.setattr(solid, "invariants", counted)
-    counts = []
-    for n_layers in (1, 1000):
-        calls.clear()
-        for fam in solid_surgery(kind, n_layers):
-            cross_section_check(fam)
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+    short = kind.removeprefix("solid_").replace("_", "")
+    for direction in DIRECTIONS:
+        for n_layers in (1, 1000):
+            calls.clear()
+            argv = ["solid-demo", "--kind", short, "--direction", direction,
+                    "--layers", str(n_layers)]
+            assert cli.main(argv) == 0
+            capsys.readouterr()
+            assert len(calls) == 6, (direction, n_layers)
 
 
 def test_more_layers_repeat_the_layer_at_the_new_radii(capsys):
