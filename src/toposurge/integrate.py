@@ -44,6 +44,7 @@ changes them.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import Callable
@@ -343,6 +344,10 @@ def hermite_weights(s):
 def resample(traj: Trajectory, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Times (n,) and states (n, 3) on a uniform grid via dense output; n is
     at most 5,000,000, the most steps one integration may take."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError("resample points must be an integer") from None
     if not 2 <= n <= MAX_STEPS:
         raise ValueError(f"resample points must lie in [2, {MAX_STEPS}]")
     t0, t1 = float(traj.t[0]), traj.t_end

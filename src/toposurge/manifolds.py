@@ -41,6 +41,15 @@ def _check_cells(n: int, what: str) -> None:
         raise InvalidManifold(f"{what} would have {n} cells; at most {MAX_CELLS}")
 
 
+def _ints(message: str, *values) -> tuple[int, ...]:
+    """``values`` as ``operator.index`` takes them; InvalidManifold(message)
+    if it refuses one."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise InvalidManifold(message) from None
+
+
 # ---------------------------------------------------------------------------
 # 1-manifolds
 # ---------------------------------------------------------------------------
@@ -72,6 +81,7 @@ class OneManifold:
 
 
 def circle(n: int = 6) -> OneManifold:
+    (n,) = _ints("circle sizes must be integers", n)
     if n < 2:
         raise InvalidManifold("a circle needs at least 2 arcs")
     _check_cells(n, "circle")
@@ -79,6 +89,7 @@ def circle(n: int = 6) -> OneManifold:
 
 
 def two_circles(n: int = 6, m: int = 6) -> OneManifold:
+    n, m = _ints("two_circles sizes must be integers", n, m)
     if n < 2 or m < 2:
         raise InvalidManifold("each circle needs at least 2 arcs")
     _check_cells(n + m, "two_circles")
@@ -234,11 +245,8 @@ def _check_stars(
         except (TypeError, ValueError):
             raise InvalidManifold(f"triangle {ti} does not have 3 vertices") from None
         if a.__class__ is not int or b.__class__ is not int or c.__class__ is not int:
-            try:
-                a, b, c = as_ints[ti] = index(a), index(b), index(c)
-            except TypeError:
-                raise InvalidManifold(
-                    f"triangle {ti} has a vertex id that is not an integer") from None
+            a, b, c = as_ints[ti] = _ints(
+                f"triangle {ti} has a vertex id that is not an integer", a, b, c)
         if a == b or b == c or c == a:
             raise InvalidManifold(f"degenerate triangle {t}")
         if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
@@ -310,10 +318,7 @@ class Surface:
     triangles: tuple[Triangle, ...]
 
     def __post_init__(self):
-        try:
-            n = index(self.n_vertices)
-        except TypeError:
-            raise InvalidManifold("the vertex count is not an integer") from None
+        (n,) = _ints("the vertex count is not an integer", self.n_vertices)
         tris = _check_stars(n, self.triangles, range(len(self.triangles)), range(n))
         if n is not self.n_vertices:
             object.__setattr__(self, "n_vertices", n)
@@ -415,6 +420,7 @@ def globe(rings: int = 3, segments: int = 6) -> Surface:
     its polar caps are canonical disc sites and its latitude bands canonical
     annulus sites.
     """
+    rings, segments = _ints("globe sizes must be integers", rings, segments)
     if rings < 3 or segments < 3:
         raise InvalidManifold("globe needs rings >= 3 and segments >= 3")
     _check_cells(2 * rings * segments, "globe")
@@ -499,6 +505,7 @@ def genus_g(g: int = 1) -> Surface:
     handle takes the vertices of its disc pair and adds none, so when no
     disc pair is left the surface is subdivided once more before the next
     handle."""
+    (g,) = _ints("genus_g sizes must be integers", g)
     if g < 0:
         raise InvalidManifold("genus must be >= 0")
     if g > MAX_GENUS:

@@ -147,14 +147,15 @@ class WindingProfile:
         return float(max((d > 0).mean(), (d < 0).mean()))
 
 
-def _axis_coordinates(states: np.ndarray, axis: SlowManifold):
-    u, e1, e2 = (np.asarray(v) for v in axis.axis_frame())
-    d = states - np.asarray(axis.s2)
+def _axis_coordinates(states: np.ndarray, plane):
+    """(h, r, x1, x2) of each state in :func:`_half_plane`'s frame."""
+    origin, u, w, n = plane
+    d = states - origin
     h = d @ u
     radial = d - np.outer(h, u)
     r = np.linalg.norm(radial, axis=1)
-    x1 = radial @ e1
-    x2 = radial @ e2
+    x1 = radial @ w
+    x2 = radial @ n
     return h, r, x1, x2
 
 
@@ -166,8 +167,9 @@ def winding_profile(traj: Trajectory, axis: SlowManifold) -> WindingProfile:
     inserting dense-output midpoints, so the unwrap is trustworthy.
     """
     ts, states = traj.t, traj.states
+    plane = _half_plane(axis)
     for insertions in range(25):  # at most 24 rounds of midpoints
-        h, r, x1, x2 = _axis_coordinates(states, axis)
+        h, r, x1, x2 = _axis_coordinates(states, plane)
         ok = r >= EPS_AXIS
         theta = np.arctan2(x2[ok], x1[ok])
         if insertions == 24:

@@ -7,10 +7,10 @@ point into a circle, splitting a ball turns it into two points, and the
 dual operations collapse those back to a point.  Layers are combinatorial
 manifolds; radii are bookkeeping, not geometry.  Every layer is the same
 complex, so a family is one complex and its radii, and one surgery serves
-every radius.  A family reads its layer type, limit and meridional section
-off one invariants read of that complex, when it is built: a circle or
-sphere shrinks to a point and a torus to its core circle, and a section has
-one circle per component plus one per handle.
+every radius.  One table, :data:`_SHAPES`, keyed by what an invariants read
+of that complex certifies, gives a family its layer type, limit and
+meridional section when it is built.  It names the five shapes that solid
+surgery makes; any other layer is ``other``, with no limit and no section.
 """
 
 from __future__ import annotations
@@ -45,10 +45,22 @@ from .surgery import (
 KINDS = ("solid_1d_0", "solid_2d_0", "solid_2d_1")
 DIRECTIONS = ("forward", "dual")
 
-_GLOBE_RINGS = 3
-_GLOBE_SEG = 6
 # solid-demo writes every layer's complex: 1,000 layers are 6.5 MB of JSON
 MAX_LAYERS = 1000
+
+
+# (is a curve, components, Euler characteristic, orientable) -> (layer type,
+# the centre object the layers shrink to, circles of a meridional section).
+# A chain counts 1 in a curve's chi and a cycle 0.  A closed orientable
+# surface of c components has chi at most 2c, reached only when each is a
+# sphere, and one of chi 0 is a torus.
+_SHAPES = {
+    (True, 1, 0, True): ("circle", "point", 1),
+    (True, 2, 0, True): ("two_circles", "two_points", 2),
+    (False, 1, 2, True): ("sphere", "point", 1),
+    (False, 1, 0, True): ("torus", "circle", 2),
+    (False, 2, 4, True): ("two_spheres", "two_points", 2),
+}
 
 
 @dataclass(frozen=True)
@@ -56,8 +68,8 @@ class SolidFamily:
     """The complex ``layer`` at every radius of ``radii``.
 
     ``layer_type``, the centre object ``limit`` that the layers shrink to
-    and ``section_circles``, the circles of a meridional section, are read
-    off ``layer`` once, when the family is built (see :func:`_read`).
+    and ``section_circles``, the circles of a meridional section, are the
+    :data:`_SHAPES` row of ``layer``, read once, when the family is built.
     """
 
     kind: str
@@ -70,37 +82,12 @@ class SolidFamily:
     section_circles: Optional[int] = field(init=False)
 
     def __post_init__(self):
-        for name, value in zip(("layer_type", "limit", "section_circles"), _read(self.layer)):
+        rep = invariants(self.layer)
+        key = (isinstance(self.layer, OneManifold), rep.components,
+               rep.euler_characteristic, rep.orientable)
+        row = _SHAPES.get(key, ("other", None, None))
+        for name, value in zip(("layer_type", "limit", "section_circles"), row):
             object.__setattr__(self, name, value)
-
-
-def _read(m: Union[OneManifold, Surface]) -> tuple[str, Optional[str], Optional[int]]:
-    """(type, limit, section circles) of layer m from one invariants read.
-
-    The type names m's homeomorphism class.  The limit is what the solid
-    filled by m shrinks to: a circle or sphere bounds a disc or ball, which
-    shrinks to a point, and a torus bounds a solid torus, which shrinks to
-    its core circle; any other shape has None.  A meridional section has one
-    circle per component plus one per handle; the rule covers orientable
-    layers whose section has at most two circles, and any other has None.
-    """
-    rep = invariants(m)
-    components, chi = rep.components, rep.euler_characteristic
-    handles = sum(rep.genus or ())  # a 1-manifold has no handles
-    if isinstance(m, OneManifold):  # a chain counts 1 in chi, a cycle 0
-        name = "other" if chi else {1: "circle", 2: "two_circles"}.get(
-            components, f"{components}_circles")
-    else:  # chi 2 a component holds only on a sphere, so those keys are orientable
-        name = {(1, 2, True): "sphere", (1, 0, True): "torus", (2, 4, True): "two_spheres"}.get(
-            (components, chi, rep.orientable), "other")
-    limit = {(1, 0): "point", (2, 0): "two_points", (1, 1): "circle"}.get((components, handles))
-    circles = components + handles
-    return name, limit, circles if rep.orientable and circles <= 2 else None
-
-
-def classify_layer(m: Union[OneManifold, Surface]) -> str:
-    """Name the homeomorphism type of a layer from its invariants."""
-    return _read(m)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +106,8 @@ def _join_two_circles() -> tuple[OneManifold, OneManifold]:
 
 def _drill_sphere() -> tuple[Surface, Surface, tuple[int, ...]]:
     """(sphere, the torus drilled along its polar axis, the tube's band)."""
-    s = globe(_GLOBE_RINGS, _GLOBE_SEG)
-    polar = DiscPairSite(
-        globe_north_cap(_GLOBE_SEG), globe_south_cap(_GLOBE_RINGS, _GLOBE_SEG)
-    )
+    s = globe()
+    polar = DiscPairSite(globe_north_cap(), globe_south_cap())
     return (s, *attach_tube(s, polar, GluingMap()))
 
 
@@ -132,8 +117,8 @@ def _fill_drilled_sphere() -> tuple[Surface, Surface]:
 
 
 def _split_sphere() -> tuple[Surface, Surface]:
-    s = globe(_GLOBE_RINGS, _GLOBE_SEG)
-    return s, surgery_2d_1(s, AnnulusSite(globe_band(1, _GLOBE_SEG)), GluingMap())
+    s = globe()
+    return s, surgery_2d_1(s, AnnulusSite(globe_band(1)), GluingMap())
 
 
 def _join_two_spheres() -> tuple[Surface, Surface]:

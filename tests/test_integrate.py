@@ -10,6 +10,7 @@ from scipy.integrate import solve_ivp
 from toposurge import integrate as integrate_module
 from toposurge.dynamics import SystemParams, rhs
 from toposurge.integrate import IntegrationError, hermite_weights, integrate, resample
+from toposurge.serialize import trajectory_csv
 
 
 def scipy_reference(p, ic, t_end):
@@ -126,6 +127,21 @@ def test_resample_uniform():
     assert ts[0] == 0.0 and ts[-1] == 10.0
     steps = {round(b - a, 12) for a, b in zip(ts, ts[1:])}
     assert len(steps) == 1
+
+
+def test_resample_points_must_be_an_integer():
+    traj = integrate(SystemParams(3, 3, 3), (1.0, 1.3, 0.89), 1.0)
+    # 2.5 rows would be a grid of step 1/1.5 whose third row lies past t_end
+    for n in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="^resample points must be an integer$"):
+            resample(traj, n)
+    for n in (2.5, 3.0, "3"):  # a false resample_n means the raw steps
+        with pytest.raises(ValueError, match="^resample points must be an integer$"):
+            trajectory_csv(traj, n)
+    ts, states = resample(traj, np.int64(3))
+    assert ts.tolist() == [0.0, 0.5, 1.0] and states.shape == (3, 3)
+    with pytest.raises(ValueError, match=r"^resample points must lie in \[2, "):
+        resample(traj, True)  # a bool passes the integer rule
 
 
 # Orbits that pin the straight-line step, with their exact step counts

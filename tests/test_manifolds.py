@@ -179,6 +179,30 @@ def test_too_small_a_globe_names_its_parameters(sizes):
         globe(*sizes)
 
 
+@pytest.mark.parametrize("kind, sizes", [
+    ("circle", (2.5,)),
+    ("circle", ("8",)),
+    ("circle", (None,)),
+    ("two_circles", (3, 4.0)),
+    ("globe", (3.0, 6)),
+    ("globe", (3, "6")),
+    ("genus_g", (1.5,)),
+])
+def test_a_size_that_is_not_an_integer_is_refused(kind, sizes):
+    with pytest.raises(InvalidManifold, match=f"^{kind} sizes must be integers$"):
+        STOCK[kind](*sizes)
+
+
+def test_bool_and_numpy_integer_sizes_are_taken_as_ints():
+    assert circle(np.int64(8)) == circle(8)
+    assert two_circles(np.uint8(3), np.int32(4)) == two_circles(3, 4)
+    assert globe(np.int16(4), np.int64(7)) == globe(4, 7)
+    assert STOCK["genus_g"](np.int64(2)) == STOCK["genus_g"](2)
+    assert STOCK["genus_g"](True) == STOCK["genus_g"](1)
+    with pytest.raises(InvalidManifold, match="^a circle needs at least 2 arcs$"):
+        circle(True)  # a bool passes the integer rule
+
+
 def test_arc_uniqueness_enforced():
     with pytest.raises(InvalidManifold):
         OneManifold(cycles=((0, 1), (1, 2)))

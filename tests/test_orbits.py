@@ -200,7 +200,7 @@ def _winding_profile_by_list_insert(traj, axis):
     ts = traj.t.tolist()
     states = [tuple(s) for s in traj.states.tolist()]
     for _ in range(24):
-        h, r, x1, x2 = _axis_coordinates(np.asarray(states), axis)
+        h, r, x1, x2 = _axis_coordinates(np.asarray(states), _half_plane(axis))
         ok = r >= EPS_AXIS
         theta_raw = np.arctan2(x2[ok], x1[ok])
         gaps = np.abs(np.diff(theta_raw))
@@ -220,7 +220,7 @@ def _winding_profile_by_list_insert(traj, axis):
         for i0, t_mid in reversed(inserts):
             ts.insert(i0 + 1, t_mid)
             states.insert(i0 + 1, _hermite_by_scalar_rhs(traj, t_mid))
-    h, r, x1, x2 = _axis_coordinates(np.asarray(states), axis)
+    h, r, x1, x2 = _axis_coordinates(np.asarray(states), _half_plane(axis))
     ok = r >= EPS_AXIS
     return WindingProfile(t=np.asarray(ts)[ok], theta=np.unwrap(np.arctan2(x2[ok], x1[ok])),
                           radius=r[ok], height=h[ok], skipped=int((~ok).sum()))

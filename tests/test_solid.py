@@ -4,15 +4,23 @@ from pathlib import Path
 import pytest
 
 from toposurge import cli, solid
-from toposurge.manifolds import STOCK, OneManifold, circle
+from toposurge.manifolds import (
+    STOCK,
+    OneManifold,
+    circle,
+    globe,
+    globe_north_cap,
+    globe_south_cap,
+    invariants,
+)
 from toposurge.solid import (
     DIRECTIONS,
     KINDS,
     SolidFamily,
-    classify_layer,
     cross_section_check,
     solid_surgery,
 )
+from toposurge.surgery import DiscPairSite, GluingMap, surgery_2d_0
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -27,6 +35,16 @@ LAYER_RULES = {
     "solid_1d_0": ("circle", "two_circles"),
     "solid_2d_0": ("sphere", "torus"),
     "solid_2d_1": ("sphere", "two_spheres"),
+}
+
+# layer type -> (components, Euler characteristic, orientable) that
+# invariants certifies of it
+CERTIFICATES = {
+    "circle": (1, 0, True),
+    "two_circles": (2, 0, True),
+    "sphere": (1, 2, True),
+    "torus": (1, 0, True),
+    "two_spheres": (2, 4, True),
 }
 
 
@@ -55,7 +73,10 @@ def test_dual_inverts_the_forward_surgery(kind):
 def test_layer_types_are_certified_by_invariants(kind, direction):
     fam_in, fam_out = solid_surgery(kind, 2, direction)
     for fam in (fam_in, fam_out):
-        assert classify_layer(fam.layer) == fam.layer_type
+        rep = invariants(fam.layer)
+        assert isinstance(fam.layer, OneManifold) == (kind == "solid_1d_0")
+        certified = (rep.components, rep.euler_characteristic, rep.orientable)
+        assert certified == CERTIFICATES[fam.layer_type]
 
 
 def test_radii_schedule():
@@ -131,8 +152,29 @@ def test_layer_without_a_section_rule_is_refused():
 ])
 def test_a_curve_with_a_chain_is_no_circle(cycles, chains):
     """A chain counts 1 in a curve's Euler characteristic, a cycle 0: only
-    a curve of cycles alone is named by its number of circles."""
-    assert classify_layer(OneManifold(cycles, chains)) == "other"
+    a curve of one or two cycles alone is named, by its number of circles."""
+    fam = SolidFamily("solid_1d_0", "input", "forward", (1.0,), OneManifold(cycles, chains))
+    assert fam.layer_type == "other"
+
+
+KLEIN_BOTTLE = surgery_2d_0(globe(), DiscPairSite(globe_north_cap(), globe_south_cap()),
+                            GluingMap(orientation_flip=True))
+
+
+@pytest.mark.parametrize("kind, role, layer", [
+    ("solid_1d_0", "input", OneManifold((), ((0, 1, 2),))),
+    ("solid_1d_0", "output", OneManifold(((0, 1, 2),), ((3, 4),))),
+    ("solid_1d_0", "input", OneManifold((), ())),
+    ("solid_1d_0", "output", OneManifold(((0, 1), (2, 3), (4, 5)))),
+    ("solid_2d_0", "output", KLEIN_BOTTLE),
+], ids=["arc", "arc_beside_a_circle", "empty_curve", "three_circles", "klein_bottle"])
+def test_a_shape_no_solid_surgery_makes_has_no_limit_or_section(kind, role, layer):
+    """Only the five shapes solid surgery makes have a limit and a section:
+    an arc bounds no disc, and a Klein bottle bounds no solid."""
+    fam = SolidFamily(kind, role, "forward", (1.0,), layer)
+    assert (fam.layer_type, fam.limit, fam.section_circles) == ("other", None, None)
+    with pytest.raises(ValueError, match=r"^layer type 'other' has no section rule$"):
+        cross_section_check(fam)
 
 
 @pytest.mark.parametrize("kind", KINDS)
